@@ -20,7 +20,7 @@
 //
 //	/v1/*                    proxied to the owning backend (ring failover on retryable errors)
 //	GET /healthz             200 while at least one backend is routable; includes SLO burn rates
-//	GET /metrics             router + per-backend stats; Prometheus text under Accept: text/plain
+//	GET /metrics             router + per-backend stats, Prometheus text exposition
 //	PUT /admin/topology      {"backends": [...]} — replace the fleet and warm-transfer hot keys
 //	GET /debug/traces        the router's own sampled traces
 //	GET /debug/fleet-traces  cross-process stitched traces (scrapes every backend's ring)

@@ -26,7 +26,7 @@
 //	GET  /v1/cache/snapshot        export hot plan-cache entries (the router's warm transfer)
 //	PUT  /v1/cache/snapshot        import a snapshot, prewarming the plan cache
 //	GET  /healthz
-//	GET  /metrics                  JSON by default; Prometheus text under Accept: text/plain
+//	GET  /metrics                  Prometheus text exposition (the only format)
 //	GET  /debug/traces             recent/slowest sampled request traces
 //	GET  /debug/events             structured event journal (membership, breaker, hints, quarantine)
 //

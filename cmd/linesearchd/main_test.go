@@ -122,24 +122,23 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Metrics show the repeated query hit the cache.
-	metrics := getJSON("/metrics")
-	cache, ok := metrics["cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics missing cache section: %v", metrics)
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
 	}
-	if hits, _ := cache["hits"].(float64); hits < 1 {
-		t.Fatalf("cache hits = %v, want > 0 after repeated identical queries", cache["hits"])
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, err %v", resp.StatusCode, err)
 	}
-	endpoints, ok := metrics["endpoints"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics missing endpoints section: %v", metrics)
-	}
-	planEp, ok := endpoints["/v1/plan"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics missing /v1/plan endpoint: %v", endpoints)
-	}
-	if reqs, _ := planEp["requests"].(float64); reqs < 3 {
-		t.Fatalf("plan endpoint requests = %v, want >= 3", planEp["requests"])
+	// Three identical queries: one miss, then two hits.
+	for _, want := range []string{
+		`linesearchd_plan_cache_operations_total{op="hits"} 2`,
+		`linesearchd_http_request_duration_seconds_count{endpoint="/v1/plan"} 3`,
+	} {
+		if !strings.Contains(string(metrics), want+"\n") {
+			t.Errorf("metrics missing %s after repeated identical queries:\n%s", want, metrics)
+		}
 	}
 
 	// Graceful shutdown: cancelling the context is exactly what

@@ -28,7 +28,7 @@ var histogramFamilies = []string{
 // the client-side percentiles separates service latency from queueing
 // and network time.
 func serverPercentiles(ctx context.Context, client *http.Client, target string) (p50, p99 float64, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/metrics?format=prometheus", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/metrics", nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -198,7 +198,7 @@ var sloBurnFamilies = []string{
 // target that is not a linerouter (no such family) returns empty maps,
 // not an error: the gate reports that distinctly.
 func sloBurnRates(ctx context.Context, client *http.Client, target string) (map[string]map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/metrics?format=prometheus", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}

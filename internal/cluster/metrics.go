@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"linesearch/internal/telemetry"
@@ -15,38 +12,39 @@ import (
 
 // BackendStats is one backend's view in the router's metrics snapshot.
 type BackendStats struct {
-	Name        string                      `json:"name"`
-	Available   bool                        `json:"available"`
-	Quarantined bool                        `json:"quarantined"`
-	BreakerOpen bool                        `json:"breaker_open"`
-	Requests    int64                       `json:"requests"`
-	Failures    int64                       `json:"failures"`
-	ProbeFails  int64                       `json:"probe_fails"`
-	Quarantines int64                       `json:"quarantines"`
-	Latency     telemetry.HistogramSnapshot `json:"latency"`
+	Name        string
+	Available   bool
+	Quarantined bool
+	BreakerOpen bool
+	Requests    int64
+	Failures    int64
+	ProbeFails  int64
+	Quarantines int64
+	Latency     telemetry.HistogramSnapshot
 }
 
-// Stats is the router's metrics snapshot, served by GET /metrics.
+// Stats is the router's metrics snapshot; writePrometheus renders it
+// for GET /metrics.
 type Stats struct {
-	Backends []BackendStats `json:"backends"`
-	Proxied  int64          `json:"proxied"`
-	Retries  int64          `json:"retries"`
+	Backends []BackendStats
+	Proxied  int64
+	Retries  int64
 	// ReplicaReads counts pure reads fanned out to the key's owner
 	// pair because the primary was unavailable.
-	ReplicaReads int64 `json:"replica_fanout_reads"`
-	ProxyErrors  int64 `json:"proxy_errors"`
-	WarmRuns     int64 `json:"warm_transfer_runs"`
-	WarmKeys     int64 `json:"warm_transfer_keys"`
-	WarmErrors   int64 `json:"warm_transfer_errors"`
+	ReplicaReads int64
+	ProxyErrors  int64
+	WarmRuns     int64
+	WarmKeys     int64
+	WarmErrors   int64
 	// SLO is the multi-window burn-rate reading over routed requests.
-	SLO SLOStats `json:"slo"`
+	SLO SLOStats
 	// JournalEvents counts recorded events per kind — every kind is
-	// present, zero or not, so the Prometheus exposition registers a
-	// counter per kind by construction.
-	JournalEvents map[string]int64 `json:"journal_events"`
+	// present, zero or not, so the exposition carries a counter per
+	// kind by construction.
+	JournalEvents map[string]int64
 	// Tracer is the router's own trace-ring health (sampling, drops,
 	// truncation).
-	Tracer telemetry.TracerStats `json:"tracer"`
+	Tracer telemetry.TracerStats
 }
 
 // Stats snapshots the router.
@@ -113,32 +111,11 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// handleMetrics serves the router snapshot: JSON by default, the
-// Prometheus text exposition under the same content negotiation the
-// service uses (?format=prometheus, or a text/plain Accept header).
+// handleMetrics serves the router snapshot in the Prometheus text
+// exposition format, whatever the request's Accept header or query.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	st := r.Stats()
-	if wantsPrometheus(req) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writePrometheus(w, st)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
-}
-
-// wantsPrometheus mirrors the service's /metrics content negotiation
-// so one scrape config covers routers and backends alike.
-func wantsPrometheus(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := strings.ToLower(req.Header.Get("Accept"))
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
+	w.Header().Set("Content-Type", telemetry.ExpositionContentType)
+	writePrometheus(w, r.Stats())
 }
 
 // topologyRequest is the PUT /admin/topology payload.
@@ -167,106 +144,73 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{"backends": r.Backends()})
 }
 
-// writePrometheus renders the router snapshot in the text exposition
-// format with linerouter_* families. The service's writer is private
-// to its package; this small sibling follows the same conventions
-// (fixed family order, sorted labels, deterministic output).
-func writePrometheus(w io.Writer, st Stats) {
-	pf := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	family := func(name, typ, help string) {
-		pf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
+// writePrometheus renders the router snapshot as the /metrics text
+// exposition with linerouter_* families. Family order is fixed and
+// backends come sorted from Stats, so equal snapshots render byte-equal
+// output (golden-tested).
+func writePrometheus(w io.Writer, st Stats) error {
+	p := telemetry.NewExposition(w)
 
-	family("linerouter_proxied_requests_total", "counter", "Client requests entering the proxy.")
-	pf("linerouter_proxied_requests_total %d\n", st.Proxied)
-	family("linerouter_retries_total", "counter", "Extra proxy attempts beyond the first.")
-	pf("linerouter_retries_total %d\n", st.Retries)
-	family("linerouter_replica_fanout_reads_total", "counter", "Pure reads fanned out to the owner pair because the primary was unavailable.")
-	pf("linerouter_replica_fanout_reads_total %d\n", st.ReplicaReads)
-	family("linerouter_proxy_errors_total", "counter", "Requests that exhausted every attempt.")
-	pf("linerouter_proxy_errors_total %d\n", st.ProxyErrors)
-	family("linerouter_warm_transfer_runs_total", "counter", "Warm-transfer rounds triggered by topology changes.")
-	pf("linerouter_warm_transfer_runs_total %d\n", st.WarmRuns)
-	family("linerouter_warm_transfer_keys_total", "counter", "Plan-cache entries moved by warm transfers.")
-	pf("linerouter_warm_transfer_keys_total %d\n", st.WarmKeys)
-	family("linerouter_warm_transfer_errors_total", "counter", "Warm-transfer export or import failures.")
-	pf("linerouter_warm_transfer_errors_total %d\n", st.WarmErrors)
+	p.Counter("linerouter_proxied_requests_total", "Client requests entering the proxy.", st.Proxied)
+	p.Counter("linerouter_retries_total", "Extra proxy attempts beyond the first.", st.Retries)
+	p.Counter("linerouter_replica_fanout_reads_total", "Pure reads fanned out to the owner pair because the primary was unavailable.", st.ReplicaReads)
+	p.Counter("linerouter_proxy_errors_total", "Requests that exhausted every attempt.", st.ProxyErrors)
+	p.Counter("linerouter_warm_transfer_runs_total", "Warm-transfer rounds triggered by topology changes.", st.WarmRuns)
+	p.Counter("linerouter_warm_transfer_keys_total", "Plan-cache entries moved by warm transfers.", st.WarmKeys)
+	p.Counter("linerouter_warm_transfer_errors_total", "Warm-transfer export or import failures.", st.WarmErrors)
 
-	family("linerouter_slo_objective", "gauge", "Fraction of routed requests that must be good.")
-	pf("linerouter_slo_objective %s\n", strconv.FormatFloat(st.SLO.Objective, 'g', -1, 64))
-	family("linerouter_slo_latency_budget_seconds", "gauge", "Per-request latency budget the slow-rate burn is measured against.")
-	pf("linerouter_slo_latency_budget_seconds %s\n", strconv.FormatFloat(st.SLO.LatencyBudgetSeconds, 'g', -1, 64))
-	family("linerouter_slo_window_requests", "gauge", "Routed requests observed in each burn window.")
+	p.Family("linerouter_slo_objective", "gauge", "Fraction of routed requests that must be good.")
+	p.Float("linerouter_slo_objective", st.SLO.Objective)
+	p.Family("linerouter_slo_latency_budget_seconds", "gauge", "Per-request latency budget the slow-rate burn is measured against.")
+	p.Float("linerouter_slo_latency_budget_seconds", st.SLO.LatencyBudgetSeconds)
+	p.Family("linerouter_slo_window_requests", "gauge", "Routed requests observed in each burn window.")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_window_requests{window=%q} %d\n", win.Window, win.Requests)
+		p.Int("linerouter_slo_window_requests", win.Requests, "window", win.Window)
 	}
-	family("linerouter_slo_error_burn_rate", "gauge", "Error-budget burn rate per window (1.0 = burning exactly at the allowed rate).")
+	p.Family("linerouter_slo_error_burn_rate", "gauge", "Error-budget burn rate per window (1.0 = burning exactly at the allowed rate).")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_error_burn_rate{window=%q} %s\n", win.Window, strconv.FormatFloat(win.ErrorBurnRate, 'g', -1, 64))
+		p.Float("linerouter_slo_error_burn_rate", win.ErrorBurnRate, "window", win.Window)
 	}
-	family("linerouter_slo_latency_burn_rate", "gauge", "Latency-budget burn rate per window.")
+	p.Family("linerouter_slo_latency_burn_rate", "gauge", "Latency-budget burn rate per window.")
 	for _, win := range st.SLO.Windows {
-		pf("linerouter_slo_latency_burn_rate{window=%q} %s\n", win.Window, strconv.FormatFloat(win.LatencyBurnRate, 'g', -1, 64))
+		p.Float("linerouter_slo_latency_burn_rate", win.LatencyBurnRate, "window", win.Window)
 	}
 
-	family("linerouter_journal_events_total", "counter", "Structured journal events recorded, by kind.")
-	kinds := make([]string, 0, len(st.JournalEvents))
-	for kind := range st.JournalEvents {
-		kinds = append(kinds, kind)
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		pf("linerouter_journal_events_total{kind=%q} %d\n", kind, st.JournalEvents[kind])
-	}
+	p.Journal("linerouter", st.JournalEvents)
+	p.Tracer("linerouter", st.Tracer)
+	p.Counter("linerouter_tracer_dropped_traces_total", "Completed traces evicted from the ring before being read.", st.Tracer.Evicted)
+	p.Counter("linerouter_tracer_truncated_traces_total", "Traces that completed with at least one span refused by the per-trace cap.", st.Tracer.TruncatedTraces)
 
-	family("linerouter_tracer_dropped_traces_total", "counter", "Completed traces evicted from the ring before being read.")
-	pf("linerouter_tracer_dropped_traces_total %d\n", st.Tracer.Evicted)
-	family("linerouter_tracer_truncated_traces_total", "counter", "Traces that completed with at least one span refused by the per-trace cap.")
-	pf("linerouter_tracer_truncated_traces_total %d\n", st.Tracer.TruncatedTraces)
-
-	family("linerouter_backend_up", "gauge", "Backend availability (1 = routable).")
-	for _, b := range st.Backends {
-		up := 0
-		if b.Available {
-			up = 1
+	perBackend := func(name, typ, help string, value func(BackendStats) int64) {
+		p.Family(name, typ, help)
+		for _, b := range st.Backends {
+			p.Int(name, value(b), "backend", b.Name)
 		}
-		pf("linerouter_backend_up{backend=%q} %d\n", b.Name, up)
 	}
-	family("linerouter_backend_requests_total", "counter", "Attempts forwarded, by backend.")
+	perBackend("linerouter_backend_up", "gauge", "Backend availability (1 = routable).",
+		func(b BackendStats) int64 { return boolGauge(b.Available) })
+	perBackend("linerouter_backend_requests_total", "counter", "Attempts forwarded, by backend.",
+		func(b BackendStats) int64 { return b.Requests })
+	perBackend("linerouter_backend_failures_total", "counter", "Failed attempts, by backend.",
+		func(b BackendStats) int64 { return b.Failures })
+	perBackend("linerouter_backend_quarantines_total", "counter", "Health-vote quarantine transitions, by backend.",
+		func(b BackendStats) int64 { return b.Quarantines })
+	perBackend("linerouter_backend_quarantined", "gauge", "Backend currently quarantined by failed health votes (1 = quarantined).",
+		func(b BackendStats) int64 { return boolGauge(b.Quarantined) })
+	perBackend("linerouter_backend_breaker_open", "gauge", "Backend circuit breaker open (1 = open).",
+		func(b BackendStats) int64 { return boolGauge(b.BreakerOpen) })
+	perBackend("linerouter_backend_probe_failures_total", "counter", "Failed health probes, by backend.",
+		func(b BackendStats) int64 { return b.ProbeFails })
+	p.Family("linerouter_backend_request_duration_seconds", "histogram", "Proxied request latency, by backend.")
 	for _, b := range st.Backends {
-		pf("linerouter_backend_requests_total{backend=%q} %d\n", b.Name, b.Requests)
+		p.Histogram("linerouter_backend_request_duration_seconds", b.Latency, "backend", b.Name)
 	}
-	family("linerouter_backend_failures_total", "counter", "Failed attempts, by backend.")
-	for _, b := range st.Backends {
-		pf("linerouter_backend_failures_total{backend=%q} %d\n", b.Name, b.Failures)
-	}
-	family("linerouter_backend_quarantines_total", "counter", "Health-vote quarantine transitions, by backend.")
-	for _, b := range st.Backends {
-		pf("linerouter_backend_quarantines_total{backend=%q} %d\n", b.Name, b.Quarantines)
-	}
-	family("linerouter_backend_request_duration_seconds", "histogram", "Proxied request latency, by backend.")
-	for _, b := range st.Backends {
-		writeHistogram(pf, "linerouter_backend_request_duration_seconds", b.Name, b.Latency)
-	}
+	return p.Err()
 }
 
-// writeHistogram emits one backend's latency histogram series.
-func writeHistogram(pf func(string, ...any), name, backendName string, h telemetry.HistogramSnapshot) {
-	bounds := make([]string, 0, len(h.Buckets))
-	for ub := range h.Buckets {
-		if ub != "+Inf" {
-			bounds = append(bounds, ub)
-		}
+func boolGauge(v bool) int64 {
+	if v {
+		return 1
 	}
-	sort.Slice(bounds, func(i, j int) bool {
-		a, _ := strconv.ParseFloat(bounds[i], 64)
-		b, _ := strconv.ParseFloat(bounds[j], 64)
-		return a < b
-	})
-	for _, ub := range bounds {
-		pf("%s_bucket{backend=%q,le=%q} %d\n", name, backendName, ub, h.Buckets[ub])
-	}
-	pf("%s_bucket{backend=%q,le=\"+Inf\"} %d\n", name, backendName, h.Buckets["+Inf"])
-	pf("%s_sum{backend=%q} %s\n", name, backendName, strconv.FormatFloat(h.Sum, 'g', -1, 64))
-	pf("%s_count{backend=%q} %d\n", name, backendName, h.Count)
+	return 0
 }

@@ -79,7 +79,8 @@ type ReplicatorConfig struct {
 	Apply func(sweep.Checkpoint) error
 }
 
-// ReplicatorStats are the replication counters, exported on /metrics.
+// ReplicatorStats are the replication counters, read in process
+// through Replicator.Stats.
 type ReplicatorStats struct {
 	// Replicated counts checkpoints accepted by a peer; Failed counts
 	// sends that errored after reaching for a live peer.

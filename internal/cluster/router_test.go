@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -71,22 +70,9 @@ func (f *fleet) backendName(i int) string {
 	return strings.TrimPrefix(f.backends[i].URL, "http://")
 }
 
-// cacheStats reads one backend's plan-cache counters off its JSON
-// /metrics surface.
-func (f *fleet) cacheStats(t *testing.T, i int) service.CacheStats {
-	t.Helper()
-	resp, err := http.Get(f.backends[i].URL + "/metrics")
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Cache service.CacheStats `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode metrics: %v", err)
-	}
-	return snap.Cache
+// cacheStats reads one backend's plan-cache counters.
+func (f *fleet) cacheStats(i int) service.CacheStats {
+	return f.services[i].Cache().Stats()
 }
 
 // get issues one GET through the router's frontend.
@@ -152,7 +138,7 @@ func TestRouterByteIdenticalToSingleProcess(t *testing.T) {
 	// pass over the mix is all hits somewhere, never a duplicate build.
 	var missesBefore, hitsBefore int64
 	for i := range f.backends {
-		cs := f.cacheStats(t, i)
+		cs := f.cacheStats(i)
 		missesBefore += cs.Misses
 		hitsBefore += cs.Hits
 	}
@@ -161,7 +147,7 @@ func TestRouterByteIdenticalToSingleProcess(t *testing.T) {
 	}
 	var missesAfter, hitsAfter int64
 	for i := range f.backends {
-		cs := f.cacheStats(t, i)
+		cs := f.cacheStats(i)
 		missesAfter += cs.Misses
 		hitsAfter += cs.Hits
 	}
@@ -400,7 +386,8 @@ func TestRouterSingleAttemptForSideEffects(t *testing.T) {
 // from its warmed cache — hits, zero misses, zero builds on the
 // serving path.
 func TestRouterWarmTransfer(t *testing.T) {
-	f := newFleet(t, 2, Config{WarmKeys: 64})
+	var logs lockedBuffer
+	f := newFleet(t, 2, Config{WarmKeys: 64, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 
 	// Warm the fleet through the router so each backend caches its
 	// share of the mix.
@@ -426,29 +413,46 @@ func TestRouterWarmTransfer(t *testing.T) {
 		t.Fatalf("SetTopology: %v", err)
 	}
 
+	// why explains a failure with the router's own account of the
+	// transfer — its counters, journal and log — plus how many donor
+	// entries the new ring gives the joiner, so a flake names its cause
+	// instead of only its symptom.
+	why := func() string {
+		st := f.router.Stats()
+		var b strings.Builder
+		fmt.Fprintf(&b, "\njoiner %s; router warm transfer: runs=%d keys=%d errors=%d",
+			joinerSrv.URL, st.WarmRuns, st.WarmKeys, st.WarmErrors)
+		for _, ev := range f.router.journal.Events() {
+			fmt.Fprintf(&b, "\nrouter journal #%d %s member=%q %s", ev.Seq, ev.Kind, ev.Member, ev.Detail)
+		}
+		f.router.mu.RLock()
+		ring := f.router.ring
+		f.router.mu.RUnlock()
+		joinerName := strings.TrimPrefix(joinerSrv.URL, "http://")
+		for i, svc := range f.services {
+			entries := svc.Cache().Export(64).Entries
+			owned := 0
+			for _, e := range entries {
+				if ring.Owner(e.Key.Hash()) == joinerName {
+					owned++
+				}
+			}
+			fmt.Fprintf(&b, "\ndonor %s holds %d entries, %d of them owned by the joiner",
+				f.backendName(i), len(entries), owned)
+		}
+		b.WriteString("\nrouter log:\n" + logs.String())
+		return b.String()
+	}
+
 	// The joiner now owns ~1/3 of the warmed keys; the warm transfer
 	// must have pushed them.
-	readJoiner := func() service.CacheStats {
-		resp, err := http.Get(joinerSrv.URL + "/metrics")
-		if err != nil {
-			t.Fatalf("joiner metrics: %v", err)
-		}
-		defer resp.Body.Close()
-		var snap struct {
-			Cache service.CacheStats `json:"cache"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return snap.Cache
-	}
-	cs := readJoiner()
+	cs := joiner.Cache().Stats()
 	if cs.Imports == 0 || cs.Warmed == 0 {
-		t.Fatalf("joiner cache after transfer: imports=%d warmed=%d, want both > 0", cs.Imports, cs.Warmed)
+		t.Fatalf("joiner cache after transfer: imports=%d warmed=%d, want both > 0%s", cs.Imports, cs.Warmed, why())
 	}
 	st := f.router.Stats()
 	if st.WarmRuns != 1 || st.WarmKeys == 0 || st.WarmErrors != 0 {
-		t.Fatalf("router warm stats = runs %d, keys %d, errors %d", st.WarmRuns, st.WarmKeys, st.WarmErrors)
+		t.Fatalf("router warm stats = runs %d, keys %d, errors %d%s", st.WarmRuns, st.WarmKeys, st.WarmErrors, why())
 	}
 
 	// Replay the full mix: the joiner serves its keys as pure hits.
@@ -457,21 +461,39 @@ func TestRouterWarmTransfer(t *testing.T) {
 	warmedBefore, missesBefore := cs.Warmed, cs.Misses
 	for _, q := range planQueries {
 		if code, body := f.get(t, q); code != http.StatusOK {
-			t.Fatalf("%s after reshape: %d %s", q, code, body)
+			t.Fatalf("%s after reshape: %d %s%s", q, code, body, why())
 		}
 	}
-	cs = readJoiner()
+	cs = joiner.Cache().Stats()
 	if cs.Misses != missesBefore {
-		t.Errorf("joiner took %d cache misses serving transferred keys, want 0 (recompute on the serving path)",
-			cs.Misses-missesBefore)
+		t.Errorf("joiner took %d cache misses serving transferred keys, want 0 (recompute on the serving path)%s",
+			cs.Misses-missesBefore, why())
 	}
 	if cs.Warmed != warmedBefore {
-		t.Errorf("joiner warmed %d more entries while serving; imports must not happen on the request path",
-			cs.Warmed-warmedBefore)
+		t.Errorf("joiner warmed %d more entries while serving; imports must not happen on the request path%s",
+			cs.Warmed-warmedBefore, why())
 	}
 	if cs.Hits == 0 {
-		t.Errorf("joiner served no hits; transferred keys were not routed to it")
+		t.Errorf("joiner served no hits; transferred keys were not routed to it%s", why())
 	}
+}
+
+// lockedBuffer is a log sink safe for the router's concurrent writers.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestRouterHealthQuorumVoting pins the detection rule: a backend is

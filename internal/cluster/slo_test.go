@@ -180,7 +180,7 @@ func TestRouterSLOEndToEnd(t *testing.T) {
 			t.Errorf("healthz missing %s:\n%s", want, body)
 		}
 	}
-	req := httptest.NewRequest("GET", "/metrics?format=prometheus", nil)
+	req := httptest.NewRequest("GET", "/metrics", nil)
 	rw := httptest.NewRecorder()
 	f.router.Handler().ServeHTTP(rw, req)
 	for _, want := range []string{

@@ -870,22 +870,14 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics exports the counters. The default is the expvar-style
-// JSON snapshot (byte-compatible with PR 4 for pre-existing fields);
-// clients negotiating text/plain or OpenMetrics via the Accept header
-// — i.e. a Prometheus scraper — get the text exposition format
-// instead. ?format=prometheus|json overrides the negotiation.
+// handleMetrics serves the counters in the Prometheus text exposition
+// format, whatever the request's Accept header or query.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot(s.cache.Stats(), s.sweeps.Stats(), s.resilience())
 	snap.Traces = s.tracer.Stats()
 	snap.JournalEvents = s.journal.Counts()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", prometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		writePrometheus(w, snap)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, snap)
+	w.Header().Set("Content-Type", telemetry.ExpositionContentType)
+	writePrometheus(w, snap)
 }
 
 // resilience snapshots the admission-control and fault-injection

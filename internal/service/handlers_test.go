@@ -407,29 +407,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	doReq(t, h, "GET", "/v1/plan?n=3&f=1", "")
 	doReq(t, h, "GET", "/v1/plan?n=0&f=0", "") // a 400
 
-	code, body := doReq(t, h, "GET", "/metrics", "")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
 	}
 	// Two misses: the first plan build plus the failed build for the
 	// invalid pair (failed builds count as misses but are not cached).
-	cache := body["cache"].(map[string]any)
-	if cache["hits"].(float64) != 1 || cache["misses"].(float64) != 2 || cache["size"].(float64) != 1 {
-		t.Errorf("cache stats = %v", cache)
+	for _, want := range []string{
+		`linesearchd_plan_cache_operations_total{op="hits"} 1`,
+		`linesearchd_plan_cache_operations_total{op="misses"} 2`,
+		"linesearchd_plan_cache_size 1",
+		`linesearchd_http_requests_total{endpoint="/v1/plan",class="2xx"} 2`,
+		`linesearchd_http_requests_total{endpoint="/v1/plan",class="4xx"} 1`,
+		`linesearchd_http_request_duration_seconds_count{endpoint="/v1/plan"} 3`,
+	} {
+		if !strings.Contains(w.Body.String(), want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, w.Body.String())
+		}
 	}
-	plan := body["endpoints"].(map[string]any)["/v1/plan"].(map[string]any)
-	if plan["requests"].(float64) != 3 {
-		t.Errorf("plan requests = %v", plan["requests"])
-	}
-	status := plan["status"].(map[string]any)
-	if status["2xx"].(float64) != 2 || status["4xx"].(float64) != 1 {
-		t.Errorf("status classes = %v", status)
-	}
-	lat := plan["latency_seconds"].(map[string]any)
-	if lat["count"].(float64) != 3 {
-		t.Errorf("latency count = %v", lat["count"])
-	}
-	if body["uptime_seconds"].(float64) < 0 {
+	if strings.Contains(w.Body.String(), "linesearchd_uptime_seconds -") {
 		t.Error("negative uptime")
 	}
 }
@@ -453,11 +450,12 @@ func TestRequestTimeout(t *testing.T) {
 // plan exactly once and all succeed.
 func TestPlanColdKeyHammer(t *testing.T) {
 	var builds atomic.Int64
-	h := newTestService(t, Config{Build: func(k PlanKey) (*Plan, error) {
+	svc := newTestService(t, Config{Build: func(k PlanKey) (*Plan, error) {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the herd window
 		return defaultBuild(k)
-	}}).Handler()
+	}})
+	h := svc.Handler()
 
 	const herd = 64
 	var wg sync.WaitGroup
@@ -484,15 +482,14 @@ func TestPlanColdKeyHammer(t *testing.T) {
 			t.Fatalf("request %d: status %d, body %s", i, codes[i], bodies[i])
 		}
 	}
-	// And the metrics agree: one miss, the rest hits or in-flight waits.
-	_, m := doReq(t, h, "GET", "/metrics", "")
-	cache := m["cache"].(map[string]any)
-	if cache["misses"].(float64) != 1 {
-		t.Errorf("cache misses = %v, want 1", cache["misses"])
+	// And the cache counters agree: one miss, the rest hits or
+	// in-flight waits.
+	cache := svc.Cache().Stats()
+	if cache.Misses != 1 {
+		t.Errorf("cache misses = %d, want 1", cache.Misses)
 	}
-	total := cache["hits"].(float64) + cache["inflight_waits"].(float64)
-	if total != herd-1 {
-		t.Errorf("hits+waits = %v, want %d", total, herd-1)
+	if total := cache.Hits + cache.InflightWaits; total != herd-1 {
+		t.Errorf("hits+waits = %d, want %d", total, herd-1)
 	}
 }
 

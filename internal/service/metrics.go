@@ -1,10 +1,8 @@
 package service
 
 import (
-	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,30 +11,18 @@ import (
 	"linesearch/internal/telemetry"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds. The last
-// implicit bucket is +Inf.
-var latencyBuckets = [...]float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
-
 // endpointMetrics aggregates one endpoint's counters: requests by
-// status class and a latency histogram. All fields are atomics so the
-// hot path never takes a lock.
+// status class and a latency histogram. Everything is atomic, so the
+// hot path never takes a lock or allocates.
 type endpointMetrics struct {
-	requests atomic.Int64
 	status2x atomic.Int64
 	status4x atomic.Int64
 	status5x atomic.Int64
-
-	latencySumMicros atomic.Int64 // sum in microseconds to stay integral
-	latencyCount     atomic.Int64
-	buckets          [len(latencyBuckets) + 1]atomic.Int64
+	latency  *telemetry.Histogram
 }
 
 // observe records one finished request.
 func (m *endpointMetrics) observe(status int, d time.Duration) {
-	m.requests.Add(1)
 	switch {
 	case status >= 500:
 		m.status5x.Add(1)
@@ -45,17 +31,7 @@ func (m *endpointMetrics) observe(status int, d time.Duration) {
 	default:
 		m.status2x.Add(1)
 	}
-	secs := d.Seconds()
-	m.latencySumMicros.Add(d.Microseconds())
-	m.latencyCount.Add(1)
-	idx := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			idx = i
-			break
-		}
-	}
-	m.buckets[idx].Add(1)
+	m.latency.Observe(d)
 }
 
 // Metrics is the service-wide registry. Endpoints are registered at
@@ -74,7 +50,7 @@ type Metrics struct {
 func NewMetrics(endpoints ...string) *Metrics {
 	m := &Metrics{start: time.Now(), endpoints: make(map[string]*endpointMetrics, len(endpoints))}
 	for _, e := range endpoints {
-		m.endpoints[e] = &endpointMetrics{}
+		m.endpoints[e] = &endpointMetrics{latency: telemetry.NewHistogram()}
 	}
 	return m
 }
@@ -85,9 +61,9 @@ func (m *Metrics) SetLogger(l *slog.Logger) { m.logger = l }
 
 // Observe records a finished request against a registered endpoint.
 // Observations for unknown endpoints are dropped — a misregistration,
-// not worth a panic on the serving path — but counted in the snapshot
-// as dropped_observations and warned about once, so the mistake is
-// visible instead of invisible.
+// not worth a panic on the serving path — but counted as
+// linesearchd_dropped_observations_total and warned about once, so the
+// mistake is visible instead of invisible.
 func (m *Metrics) Observe(endpoint string, status int, d time.Duration) {
 	em, ok := m.endpoints[endpoint]
 	if !ok {
@@ -103,19 +79,12 @@ func (m *Metrics) Observe(endpoint string, status int, d time.Duration) {
 	em.observe(status, d)
 }
 
-// EndpointSnapshot is the exported per-endpoint state.
+// EndpointSnapshot is the exported per-endpoint state: requests by
+// status class ("2xx", "4xx", "5xx") and the latency histogram, whose
+// Count is the endpoint's request total.
 type EndpointSnapshot struct {
-	Requests int64            `json:"requests"`
-	Status   map[string]int64 `json:"status"`
-	Latency  LatencySnapshot  `json:"latency_seconds"`
-}
-
-// LatencySnapshot is an exported histogram: cumulative bucket counts
-// keyed by upper bound, plus count and sum for mean latency.
-type LatencySnapshot struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Buckets map[string]int64 `json:"buckets"`
+	Status  map[string]int64
+	Latency telemetry.HistogramSnapshot
 }
 
 // ResilienceStats groups the admission-control and fault-injection
@@ -123,25 +92,25 @@ type LatencySnapshot struct {
 // and the fault-point registry state (nonzero armed means someone is
 // deliberately injecting faults into this process).
 type ResilienceStats struct {
-	Shed             map[string]int64 `json:"shed_requests"`
-	Inflight         map[string]int64 `json:"inflight_requests"`
-	FaultPointsArmed int              `json:"fault_points_armed"`
-	FaultsInjected   int64            `json:"faults_injected"`
+	Shed             map[string]int64
+	Inflight         map[string]int64
+	FaultPointsArmed int
+	FaultsInjected   int64
 }
 
 // RuntimeStats are expvar-style process statistics: cheap point-in-
 // time reads of the scheduler and the memory subsystem, enough to see
 // a leak, a GC storm or goroutine pileup from /metrics alone.
 type RuntimeStats struct {
-	Goroutines          int     `json:"goroutines"`
-	GOMAXPROCS          int     `json:"gomaxprocs"`
-	HeapAllocBytes      uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes        uint64  `json:"heap_sys_bytes"`
-	HeapObjects         uint64  `json:"heap_objects"`
-	TotalAllocBytes     uint64  `json:"total_alloc_bytes"`
-	GCRuns              uint32  `json:"gc_runs"`
-	GCPauseTotalSeconds float64 `json:"gc_pause_total_seconds"`
-	LastGCPauseSeconds  float64 `json:"last_gc_pause_seconds"`
+	Goroutines          int
+	GOMAXPROCS          int
+	HeapAllocBytes      uint64
+	HeapSysBytes        uint64
+	HeapObjects         uint64
+	TotalAllocBytes     uint64
+	GCRuns              uint32
+	GCPauseTotalSeconds float64
+	LastGCPauseSeconds  float64
 }
 
 // collectRuntime reads the process stats. ReadMemStats is a
@@ -166,35 +135,31 @@ func collectRuntime() RuntimeStats {
 	return rs
 }
 
-// Snapshot is the full /metrics payload. Every field present in PR 4
-// keeps its shape; dropped_observations, runtime and traces are
-// additive.
+// Snapshot is everything /metrics exposes; writePrometheus renders it.
 type Snapshot struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	Cache         CacheStats                  `json:"cache"`
+	UptimeSeconds float64
+	Endpoints     map[string]EndpointSnapshot
+	Cache         CacheStats
 	// Sweeps carries the background job-engine counters and in-flight
 	// gauges (see sweep.ManagerStats).
-	Sweeps sweep.ManagerStats `json:"sweeps"`
+	Sweeps sweep.ManagerStats
 	// Resilience carries the shed/fault counters (see ResilienceStats).
-	Resilience ResilienceStats `json:"resilience"`
+	Resilience ResilienceStats
 	// DroppedObservations counts Observe calls for endpoints nobody
 	// registered (a wiring bug that used to be silent).
-	DroppedObservations int64 `json:"dropped_observations"`
+	DroppedObservations int64
 	// Runtime carries the expvar-style process stats.
-	Runtime RuntimeStats `json:"runtime"`
+	Runtime RuntimeStats
 	// Traces carries the request-tracer counters (see
 	// telemetry.TracerStats).
-	Traces telemetry.TracerStats `json:"traces"`
+	Traces telemetry.TracerStats
 	// JournalEvents counts structured journal events per kind. Every
-	// kind is present (zero or not), so the Prometheus exposition
-	// registers a counter per kind by construction.
-	JournalEvents map[string]int64 `json:"journal_events"`
+	// kind is present (zero or not), so the exposition carries a
+	// counter per kind by construction.
+	JournalEvents map[string]int64
 }
 
-// Snapshot exports every counter. Cumulative bucket values follow the
-// Prometheus histogram convention (each bucket counts observations at
-// or below its bound; "+Inf" equals count).
+// Snapshot exports every counter.
 func (m *Metrics) Snapshot(cache CacheStats, sweeps sweep.ManagerStats, res ResilienceStats) Snapshot {
 	out := Snapshot{
 		UptimeSeconds:       time.Since(m.start).Seconds(),
@@ -205,34 +170,15 @@ func (m *Metrics) Snapshot(cache CacheStats, sweeps sweep.ManagerStats, res Resi
 		DroppedObservations: m.dropped.Load(),
 		Runtime:             collectRuntime(),
 	}
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		em := m.endpoints[name]
-		es := EndpointSnapshot{
-			Requests: em.requests.Load(),
+	for name, em := range m.endpoints {
+		out.Endpoints[name] = EndpointSnapshot{
 			Status: map[string]int64{
 				"2xx": em.status2x.Load(),
 				"4xx": em.status4x.Load(),
 				"5xx": em.status5x.Load(),
 			},
-			Latency: LatencySnapshot{
-				Count:   em.latencyCount.Load(),
-				Sum:     float64(em.latencySumMicros.Load()) / 1e6,
-				Buckets: make(map[string]int64, len(latencyBuckets)+1),
-			},
+			Latency: em.latency.Snapshot(),
 		}
-		var cum int64
-		for i, ub := range latencyBuckets {
-			cum += em.buckets[i].Load()
-			es.Latency.Buckets[fmt.Sprintf("%g", ub)] = cum
-		}
-		cum += em.buckets[len(latencyBuckets)].Load()
-		es.Latency.Buckets["+Inf"] = cum
-		out.Endpoints[name] = es
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -23,9 +22,6 @@ func TestMetricsCountsAndClasses(t *testing.T) {
 
 	snap := m.Snapshot(CacheStats{}, sweep.ManagerStats{}, ResilienceStats{})
 	a := snap.Endpoints["/a"]
-	if a.Requests != 4 {
-		t.Errorf("requests = %d", a.Requests)
-	}
 	if a.Status["2xx"] != 2 || a.Status["4xx"] != 1 || a.Status["5xx"] != 1 {
 		t.Errorf("status classes = %v", a.Status)
 	}
@@ -35,7 +31,7 @@ func TestMetricsCountsAndClasses(t *testing.T) {
 	if got, want := a.Latency.Sum, 0.010; got < want-1e-6 || got > want+1e-6 {
 		t.Errorf("latency sum = %v, want %v", got, want)
 	}
-	if snap.Endpoints["/b"].Requests != 1 {
+	if snap.Endpoints["/b"].Latency.Count != 1 {
 		t.Errorf("endpoint /b = %+v", snap.Endpoints["/b"])
 	}
 	if len(snap.Endpoints) != 2 {
@@ -136,7 +132,7 @@ func TestHandlerRoutesAllRegistered(t *testing.T) {
 	for _, rt := range routes {
 		// Bodies are deliberately empty or invalid: a 4xx observation
 		// counts exactly like a 2xx one for registration purposes.
-		doReq(t, h, rt.method, rt.target, "")
+		doRaw(h, rt.method, rt.target)
 	}
 	snap := svc.metrics.Snapshot(CacheStats{}, sweep.ManagerStats{}, ResilienceStats{})
 	if snap.DroppedObservations != 0 {
@@ -144,7 +140,7 @@ func TestHandlerRoutesAllRegistered(t *testing.T) {
 			"a route is missing from endpointNames", snap.DroppedObservations)
 	}
 	for _, rt := range routes {
-		if snap.Endpoints[rt.endpoint].Requests == 0 {
+		if snap.Endpoints[rt.endpoint].Latency.Count == 0 {
 			t.Errorf("endpoint %s recorded no requests (route %s %s misregistered?)",
 				rt.endpoint, rt.method, rt.target)
 		}
@@ -180,23 +176,46 @@ func TestObserveRouterProxiedPaths(t *testing.T) {
 	if snap.DroppedObservations != 0 {
 		t.Fatalf("proxied request dropped its observation")
 	}
-	if snap.Endpoints["/v1/searchtime"].Requests != 1 {
+	if snap.Endpoints["/v1/searchtime"].Latency.Count != 1 {
 		t.Errorf("proxied request not observed under /v1/searchtime: %+v", snap.Endpoints)
 	}
 }
 
+// A live snapshot — real endpoint histograms, runtime stats, cache
+// and tracer sections — renders into the exposition.
 func TestMetricsSnapshotMarshals(t *testing.T) {
 	m := NewMetrics(endpointNames...)
 	m.Observe("/v1/plan", 200, time.Millisecond)
-	data, err := json.Marshal(m.Snapshot(CacheStats{Hits: 3, Misses: 1, Size: 1, Capacity: 128}, sweep.ManagerStats{}, ResilienceStats{}))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := writePrometheus(&buf, m.Snapshot(CacheStats{Hits: 3, Misses: 1, Size: 1, Capacity: 128}, sweep.ManagerStats{}, ResilienceStats{})); err != nil {
 		t.Fatal(err)
 	}
-	s := string(data)
-	for _, want := range []string{`"uptime_seconds"`, `"/v1/plan"`, `"hits":3`, `"+Inf"`,
-		`"dropped_observations"`, `"runtime"`, `"goroutines"`, `"heap_alloc_bytes"`, `"traces"`} {
+	s := buf.String()
+	for _, want := range []string{
+		"linesearchd_uptime_seconds ",
+		`linesearchd_http_requests_total{endpoint="/v1/plan",class="2xx"} 1`,
+		`linesearchd_http_request_duration_seconds_bucket{endpoint="/v1/plan",le="+Inf"} 1`,
+		`linesearchd_plan_cache_operations_total{op="hits"} 3`,
+		"linesearchd_dropped_observations_total 0",
+		"linesearchd_goroutines ",
+		"linesearchd_heap_alloc_bytes ",
+		"linesearchd_trace_requests_total 0",
+	} {
 		if !strings.Contains(s, want) {
-			t.Errorf("snapshot JSON missing %s:\n%s", want, s)
+			t.Errorf("exposition missing %s:\n%s", want, s)
 		}
+	}
+}
+
+// TestObserveZeroAllocs pins the request path's metrics cost: one
+// observation on a registered endpoint — status-class counter plus
+// latency histogram — allocates nothing.
+func TestObserveZeroAllocs(t *testing.T) {
+	m := NewMetrics(endpointNames...)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Observe("/v1/plan", 200, 3*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("Observe allocates %v times per call, want 0", allocs)
 	}
 }

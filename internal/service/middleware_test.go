@@ -71,8 +71,8 @@ func TestQuietEndpointsLogAtDebug(t *testing.T) {
 	h := newTestService(t, Config{Logger: logger}).Handler()
 
 	for _, target := range []string{"/healthz", "/metrics", "/v1/lowerbound?n=3&f=1"} {
-		if code, body := doReq(t, h, "GET", target, ""); code != http.StatusOK {
-			t.Fatalf("GET %s: status %d, body %v", target, code, body)
+		if w := doRaw(h, "GET", target); w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %s", target, w.Code, w.Body)
 		}
 	}
 	logs := buf.String()

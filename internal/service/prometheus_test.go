@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -32,9 +33,8 @@ func goldenSnapshot() Snapshot {
 		UptimeSeconds: 321.5,
 		Endpoints: map[string]EndpointSnapshot{
 			"/v1/plan": {
-				Requests: 7,
-				Status:   map[string]int64{"2xx": 5, "4xx": 2, "5xx": 0},
-				Latency: LatencySnapshot{
+				Status: map[string]int64{"2xx": 5, "4xx": 2, "5xx": 0},
+				Latency: telemetry.HistogramSnapshot{
 					Count: 7,
 					Sum:   0.042,
 					Buckets: map[string]int64{
@@ -46,9 +46,8 @@ func goldenSnapshot() Snapshot {
 				},
 			},
 			`/odd"name\x`: { // exercises label escaping
-				Requests: 1,
-				Status:   map[string]int64{"2xx": 1},
-				Latency: LatencySnapshot{
+				Status: map[string]int64{"2xx": 1},
+				Latency: telemetry.HistogramSnapshot{
 					Count:   1,
 					Sum:     0.001,
 					Buckets: map[string]int64{"0.001": 1, "+Inf": 1},
@@ -60,7 +59,7 @@ func goldenSnapshot() Snapshot {
 			Submitted: 4, Resumed: 1, Completed: 2, Failed: 1, Cancelled: 1,
 			CellsComputed: 100, CellsResumed: 10, CellErrors: 3,
 			CellRetries: 6, CellsQuarantined: 1, CheckpointFailures: 2,
-			RunningJobs: 1, PendingJobs: 2,
+			ReplicasRecovered: 1, RunningJobs: 1, PendingJobs: 2,
 			CellLatency: telemetry.HistogramSnapshot{
 				Count: 3, Sum: 1.25,
 				Buckets: map[string]int64{"0.01": 1, "0.1": 2, "1": 2, "10": 3, "+Inf": 3},
@@ -111,6 +110,59 @@ func TestPrometheusJournalExhaustive(t *testing.T) {
 			t.Errorf("exposition missing journal counter for kind %q", k)
 		}
 	}
+}
+
+// TestPrometheusExposesEveryInteger sets every integer of the golden
+// snapshot to a distinct value and requires each one as a sample
+// value, so a counter added to a stats struct without a family fails
+// here.
+func TestPrometheusExposesEveryInteger(t *testing.T) {
+	snap := goldenSnapshot()
+	next, values := int64(900001), map[string]int64{}
+	fillDistinct(reflect.ValueOf(&snap).Elem(), "Snapshot", &next, values)
+	var buf bytes.Buffer
+	if err := writePrometheus(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	for path, v := range values {
+		if !strings.Contains(buf.String(), " "+strconv.FormatInt(v, 10)+"\n") {
+			t.Errorf("%s = %d is not in the exposition", path, v)
+		}
+	}
+}
+
+// fillDistinct sets every integer reachable from v — struct fields,
+// slice elements, map values — to a distinct value counting up from
+// *next, recording each under its path in out.
+func fillDistinct(v reflect.Value, path string, next *int64, out map[string]int64) {
+	switch {
+	case v.CanInt():
+		v.SetInt(*next)
+	case v.CanUint():
+		v.SetUint(uint64(*next))
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(v.Field(i), path+"."+v.Type().Field(i).Name, next, out)
+		}
+		return
+	case v.Kind() == reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(v.Index(i), fmt.Sprintf("%s[%d]", path, i), next, out)
+		}
+		return
+	case v.Kind() == reflect.Map:
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			fillDistinct(e, fmt.Sprintf("%s[%v]", path, k), next, out)
+			v.SetMapIndex(k, e)
+		}
+		return
+	default:
+		return
+	}
+	out[path] = *next
+	*next++
 }
 
 func TestPrometheusGolden(t *testing.T) {
@@ -229,40 +281,33 @@ func TestPrometheusWellFormed(t *testing.T) {
 	}
 }
 
+// TestMetricsContentNegotiation pins that /metrics has one
+// representation: whatever the Accept header or ?format= asks for, the
+// answer is the text exposition.
 func TestMetricsContentNegotiation(t *testing.T) {
 	h := newTestService(t, Config{}).Handler()
-	serve := func(target, accept string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest("GET", target, nil)
-		if accept != "" {
-			r.Header.Set("Accept", accept)
+	for _, tc := range []struct{ target, accept string }{
+		{"/metrics", ""},
+		{"/metrics", "application/json"},
+		{"/metrics", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1"},
+		{"/metrics?format=json", ""},
+		{"/metrics?format=prometheus", "application/json"},
+		{"/metrics?format=bogus", "text/html"},
+	} {
+		r := httptest.NewRequest("GET", tc.target, nil)
+		if tc.accept != "" {
+			r.Header.Set("Accept", tc.accept)
 		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, r)
 		if w.Code != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+			t.Fatalf("GET %s (Accept %q): status %d: %s", tc.target, tc.accept, w.Code, w.Body.String())
 		}
-		return w
-	}
-
-	// Default stays JSON.
-	if ct := serve("/metrics", "").Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("default Content-Type = %q, want application/json", ct)
-	}
-
-	// A Prometheus scraper's Accept header selects the text format.
-	w := serve("/metrics", "application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
-	if ct := w.Header().Get("Content-Type"); ct != prometheusContentType {
-		t.Errorf("scrape Content-Type = %q, want %q", ct, prometheusContentType)
-	}
-	if !strings.Contains(w.Body.String(), "linesearchd_uptime_seconds") {
-		t.Errorf("text exposition missing uptime:\n%s", w.Body.String())
-	}
-
-	// Explicit overrides beat the Accept header both ways.
-	if ct := serve("/metrics?format=prometheus", "").Header().Get("Content-Type"); ct != prometheusContentType {
-		t.Errorf("?format=prometheus Content-Type = %q", ct)
-	}
-	if ct := serve("/metrics?format=json", "text/plain").Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("?format=json Content-Type = %q", ct)
+		if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("GET %s (Accept %q): Content-Type = %q, want the text exposition", tc.target, tc.accept, ct)
+		}
+		if !strings.HasPrefix(w.Body.String(), "# HELP linesearchd_uptime_seconds ") {
+			t.Errorf("GET %s (Accept %q): body is not the exposition:\n%.200s", tc.target, tc.accept, w.Body.String())
+		}
 	}
 }

@@ -20,7 +20,7 @@
 //	GET  /v1/cache/snapshot                             export hot plan-cache entries (warm transfer)
 //	PUT  /v1/cache/snapshot                             import a snapshot, prewarming the cache
 //	GET  /healthz                                       liveness probe
-//	GET  /metrics                                       expvar-style JSON counters
+//	GET  /metrics                                       Prometheus text exposition
 //
 // Everything query-derived that the library rejects maps to a 400; the
 // construction of a Searcher (strategy selection, schedule synthesis,

@@ -120,7 +120,7 @@ func acceptanceSpec() sweep.Spec {
 // where both the empirical and closed-form CR are defined agrees to
 // 1e-9.
 func TestSweepAPI200CellGrid(t *testing.T) {
-	srv, _ := newSweepServer(t, sweep.Config{Dir: t.TempDir()})
+	srv, svc := newSweepServer(t, sweep.Config{Dir: t.TempDir()})
 	sub := postSweep(t, srv, acceptanceSpec())
 	if sub.TotalCells < 200 {
 		t.Fatalf("grid has %d cells, want >= 200", sub.TotalCells)
@@ -187,21 +187,13 @@ func TestSweepAPI200CellGrid(t *testing.T) {
 			len(res.Dataset.Rows), len(res.CellErrors), st.TotalCells)
 	}
 
-	// The job engine's counters are on /metrics.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The job engine counted the run.
+	ms := svc.Sweeps().Stats()
+	if ms.Completed != 1 || ms.Submitted != 1 {
+		t.Errorf("sweep metrics = %+v", ms)
 	}
-	defer mresp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Sweeps.Completed != 1 || snap.Sweeps.Submitted != 1 {
-		t.Errorf("sweep metrics = %+v", snap.Sweeps)
-	}
-	if snap.Sweeps.CellsComputed != int64(st.TotalCells) {
-		t.Errorf("cells_computed = %d, want %d", snap.Sweeps.CellsComputed, st.TotalCells)
+	if ms.CellsComputed != int64(st.TotalCells) {
+		t.Errorf("cells_computed = %d, want %d", ms.CellsComputed, st.TotalCells)
 	}
 }
 

@@ -31,7 +31,8 @@ type ReplicaStore struct {
 	rejected atomic.Int64
 }
 
-// ReplicaStats are the store's counters, exported on /metrics.
+// ReplicaStats are the store's counters, returned as the body of an
+// accepted PUT /v1/replica/checkpoints/{id}.
 type ReplicaStats struct {
 	// Held is the number of replica checkpoints currently stored.
 	Held int `json:"held"`

@@ -6,7 +6,10 @@
 #   1. A sampled request pushed through the proxy shows up on the
 #      router's /debug/fleet-traces as ONE trace spanning the router
 #      and the serving backend (trace stitching).
-#   2. A topology reshape journals topology_change on the router and,
+#   2. A plain scrape of /metrics on a backend and on the router,
+#      without an Accept header, returns the Prometheus text exposition
+#      carrying the latency histograms and backend gauge loadgen reads.
+#   3. A topology reshape journals topology_change on the router and,
 #      via the warm transfer, snapshot_import on the backend that
 #      inherited the hot plan-cache keys (/debug/events is live on
 #      every process).
@@ -92,6 +95,25 @@ if [ "$ok" != true ]; then
 fi
 echo "obs-smoke: stitched trace spans router + backend"
 
+# check_metrics HOST FAMILY...: scrapes /metrics with the Accept header
+# removed and requires the text Content-Type and every named family.
+check_metrics() {
+  local host=$1; shift
+  curl -fsS -H 'Accept:' -D "$work/metrics.headers" "http://$host/metrics" >"$work/metrics.prom"
+  grep -qi '^content-type: text/plain; version=0.0.4' "$work/metrics.headers" || {
+    echo "obs-smoke: $host/metrics is not the text exposition:" >&2
+    cat "$work/metrics.headers" >&2; exit 1; }
+  for family in "$@"; do
+    grep -q "^$family" "$work/metrics.prom" || {
+      echo "obs-smoke: $host/metrics lacks $family:" >&2
+      head -50 "$work/metrics.prom" >&2; exit 1; }
+  done
+}
+echo "obs-smoke: checking /metrics on a backend and the router"
+check_metrics "$b1" linesearchd_http_request_duration_seconds_bucket
+check_metrics "$router" linerouter_backend_request_duration_seconds_bucket linerouter_backend_up
+echo "obs-smoke: both daemons serve the text exposition"
+
 # Reshape the fleet to backend 2 alone: the router journals the
 # topology change, and the warm transfer rehomes backend 1's hot
 # plan-cache entry (the searchtime plan above) onto backend 2, which
@@ -111,4 +133,4 @@ grep -q '"kind":"snapshot_import"' "$work/backend-events.json" || {
   echo "obs-smoke: backend 2 journalled no snapshot_import after the warm transfer:" >&2
   cat "$work/backend-events.json" >&2; exit 1; }
 
-echo "obs-smoke: PASS (stitched traces + live journals on every process)"
+echo "obs-smoke: PASS (stitched traces, text /metrics, live journals on every process)"
