@@ -125,11 +125,13 @@ bench-paper:
 	$(GO) test -bench . -benchmem .
 
 # Short fuzzing smoke: the public SearchTime entry point, the
-# Byzantine vote-rule kernel against the exact engine, and the
-# discrete-event scheduler against the closed-form simulator.
+# Byzantine vote-rule kernel against the exact engine, the kernel's
+# grouped k-th-visit selection against a sort, and the discrete-event
+# scheduler against the closed-form simulator.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSearchTime -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzByzantineVote -fuzztime 30s ./internal/compiled
+	$(GO) test -run '^$$' -fuzz FuzzGroupedKth -fuzztime 30s ./internal/compiled
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsSim -fuzztime 30s ./internal/engine
 
 # Regenerate every table and figure as text on stdout.

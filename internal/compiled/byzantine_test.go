@@ -88,33 +88,13 @@ func TestDifferentialByzantineVote(t *testing.T) {
 }
 
 // TestByzantineEvalManyZeroAllocs pins the vote-rule path to the same
-// contract as the crash path: steady-state batch evaluation through a
-// held evaluator never touches the heap.
+// contract as the crash path: steady-state evaluation through a held
+// evaluator never touches the heap — over a proportional base (5, 1)
+// and a grouped two-group base (60, 3, rank 7).
 func TestByzantineEvalManyZeroAllocs(t *testing.T) {
-	plan, err := sim.FromStrategy(strategy.Byzantine{}, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := compiled.Compile(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := cp.Evaluator()
-	defer e.Release()
-	xs := []float64{2, -17.5, 400, -8000}
-	dst := make([]float64, len(xs))
-
-	if avg := testing.AllocsPerRun(200, func() {
-		if e.SearchTime(437.25) <= 0 {
-			t.Fatal("bad search time")
-		}
-	}); avg != 0 {
-		t.Errorf("byzantine SearchTime allocates %v per op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		dst = e.EvalMany(xs, dst)
-	}); avg != 0 {
-		t.Errorf("byzantine EvalMany allocates %v per op, want 0", avg)
+	for _, tc := range []struct{ n, f int }{{5, 1}, {60, 3}} {
+		_, cp := compilePair(t, strategy.Byzantine{}, tc.n, tc.f)
+		assertZeroAllocEval(t, fmt.Sprintf("byzantine(%d,%d)", tc.n, tc.f), cp)
 	}
 }
 

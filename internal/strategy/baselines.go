@@ -27,7 +27,7 @@ func (TwoGroup) Description() string {
 
 // Build implements Strategy. Robots 0..ceil(n/2)-1 sweep right, the rest
 // sweep left; both halves have at least f+1 robots exactly when
-// n >= 2f+2.
+// n >= 2f+2. Each half shares one trajectory.
 func (TwoGroup) Build(n, f int) ([]*trajectory.Trajectory, error) {
 	regime, err := analysis.Classify(n, f)
 	if err != nil {
@@ -36,22 +36,27 @@ func (TwoGroup) Build(n, f int) ([]*trajectory.Trajectory, error) {
 	if regime != analysis.RegimeTrivial {
 		return nil, fmt.Errorf("strategy: twogroup requires n >= 2f+2, got n=%d, f=%d", n, f)
 	}
-	origin := geom.Point{X: 0, T: 0}
-	trajs := make([]*trajectory.Trajectory, 0, n)
-	for i := 0; i < n; i++ {
-		dir := trajectory.Right
+	sweep := func(dir trajectory.Direction) (*trajectory.Trajectory, error) {
+		ray, err := trajectory.NewRay(geom.Point{X: 0, T: 0}, dir)
+		if err != nil {
+			return nil, err
+		}
+		return trajectory.New(nil, ray)
+	}
+	right, err := sweep(trajectory.Right)
+	if err != nil {
+		return nil, err
+	}
+	left, err := sweep(trajectory.Left)
+	if err != nil {
+		return nil, err
+	}
+	trajs := make([]*trajectory.Trajectory, n)
+	for i := range trajs {
+		trajs[i] = right
 		if i >= (n+1)/2 {
-			dir = trajectory.Left
+			trajs[i] = left
 		}
-		ray, err := trajectory.NewRay(origin, dir)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trajectory.New(nil, ray)
-		if err != nil {
-			return nil, err
-		}
-		trajs = append(trajs, tr)
 	}
 	return trajs, nil
 }

@@ -24,7 +24,11 @@ type Strategy interface {
 	Name() string
 	// Description returns a one-line human-readable summary.
 	Description() string
-	// Build returns one trajectory per robot.
+	// Build returns one trajectory per robot. Robots that follow the
+	// same schedule share one *trajectory.Trajectory: evaluators group
+	// robots by pointer and evaluate each distinct trajectory once, so
+	// sharing is what makes a group of identical robots cheap. Distinct
+	// pointers with equal content are correct, just not deduplicated.
 	Build(n, f int) ([]*trajectory.Trajectory, error)
 	// AnalyticCR returns the closed-form competitive ratio when one is
 	// known, with ok = false otherwise.
