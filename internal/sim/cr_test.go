@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"linesearch/internal/analysis"
 	"linesearch/internal/numeric"
 	"linesearch/internal/strategy"
+	"linesearch/internal/trajectory"
 )
 
 // TestEmpiricalCRMatchesTheorem1 is experiment E6: for every
@@ -207,5 +209,62 @@ func TestRatioDecreasesBetweenTurningPoints(t *testing.T) {
 			t.Errorf("K(%v) = %v increased (prev %v)", x, k, prev)
 		}
 		prev = k
+	}
+}
+
+// TestCRCandidatesSharedTrajectories checks that walking a shared
+// trajectory once yields the candidates of walking it once per robot:
+// the doubling plan (one shared pointer) and the same robots each
+// wrapped in their own pointer give the same candidate multiset, the
+// same streamed count and the same supremum and witness, and the grid
+// matches numeric.Logspace bit for bit.
+func TestCRCandidatesSharedTrajectories(t *testing.T) {
+	shared := mustPlan(t, strategy.Doubling{}, 5, 2)
+	own := make([]*trajectory.Trajectory, shared.N())
+	for i, tr := range shared.Trajectories() {
+		c, err := trajectory.New(tr.Legs(), tr.TailOf())
+		if err != nil {
+			t.Fatal(err)
+		}
+		own[i] = c
+	}
+	distinct, err := NewPlan(own, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := CROptions{XMax: 1e3, GridPoints: 64, Parallelism: 1}
+	a, err := shared.CRCandidates(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := distinct.CRCandidates(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := a[len(a)-2*opts.GridPoints:]
+	for i, x := range numeric.Logspace(1, opts.XMax, opts.GridPoints) {
+		if grid[2*i] != x || grid[2*i+1] != -x {
+			t.Fatalf("grid point %d = %v, %v; want ±%v", i, grid[2*i], grid[2*i+1], x)
+		}
+	}
+	slices.Sort(a)
+	slices.Sort(b)
+	if !slices.Equal(a, b) {
+		t.Fatalf("shared plan candidates differ from per-robot candidates:\n%v\n%v", a, b)
+	}
+	n, err := shared.ScanCRCandidates(opts, func(float64, int) {})
+	if err != nil || n != len(b) {
+		t.Errorf("ScanCRCandidates counted %d (err %v), want %d", n, err, len(b))
+	}
+	ra, err := shared.EmpiricalCR(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := distinct.EmpiricalCR(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra != rb {
+		t.Errorf("shared plan CR %+v, per-robot plan CR %+v", ra, rb)
 	}
 }
