@@ -163,13 +163,43 @@ func Linspace(lo, hi float64, num int) []float64 {
 // Logspace returns num points geometrically spaced over [lo, hi]
 // inclusive. lo and hi must be positive and num >= 2.
 func Logspace(lo, hi float64, num int) []float64 {
+	g := NewLogGrid(lo, hi, num)
+	pts := make([]float64, num)
+	for i := range pts {
+		pts[i] = g.At(i)
+	}
+	return pts
+}
+
+// LogGrid is Logspace computed point by point, for scans that walk a
+// geometric grid without allocating it. Logspace is built on it, so
+// both give the same floats.
+type LogGrid struct {
+	logLo, step, hi float64
+	num             int
+}
+
+// NewLogGrid describes num points geometrically spaced over [lo, hi]
+// inclusive. lo and hi must be positive and num >= 2.
+func NewLogGrid(lo, hi float64, num int) LogGrid {
 	if lo <= 0 || hi <= 0 {
 		panic("numeric: Logspace needs positive endpoints")
 	}
-	pts := Linspace(math.Log(lo), math.Log(hi), num)
-	for i, p := range pts {
-		pts[i] = math.Exp(p)
+	if num < 2 {
+		panic("numeric: Logspace needs at least two points")
 	}
-	pts[num-1] = hi
-	return pts
+	logLo := math.Log(lo)
+	return LogGrid{logLo: logLo, step: (math.Log(hi) - logLo) / float64(num-1), hi: hi, num: num}
+}
+
+// Len returns the number of grid points.
+func (g LogGrid) Len() int { return g.num }
+
+// At returns grid point i, 0 <= i < Len(): the exponential of evenly
+// stepped logarithms, with the last point exactly hi.
+func (g LogGrid) At(i int) float64 {
+	if i == g.num-1 {
+		return g.hi
+	}
+	return math.Exp(g.logLo + float64(i)*g.step)
 }

@@ -231,6 +231,32 @@ func TestLogspace(t *testing.T) {
 	}
 }
 
+// TestLogGridMatchesLinspace pins LogGrid and Logspace to Linspace over
+// the log endpoints, exponentiated: the same floats to the bit, the
+// last point exactly hi.
+func TestLogGridMatchesLinspace(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi float64
+		num    int
+	}{{1, 1e4, 4096}, {1, 1e4, 2}, {0.5, 50, 8}, {1e-3, 7.5, 333}} {
+		want := Linspace(math.Log(tc.lo), math.Log(tc.hi), tc.num)
+		for i := range want {
+			want[i] = math.Exp(want[i])
+		}
+		want[tc.num-1] = tc.hi
+		g := NewLogGrid(tc.lo, tc.hi, tc.num)
+		got := Logspace(tc.lo, tc.hi, tc.num)
+		if g.Len() != tc.num || len(got) != tc.num {
+			t.Fatalf("%+v: Len %d, Logspace length %d", tc, g.Len(), len(got))
+		}
+		for i := range want {
+			if g.At(i) != want[i] || got[i] != want[i] {
+				t.Fatalf("%+v: point %d: At %v, Logspace %v, want %v", tc, i, g.At(i), got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestLogspacePanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

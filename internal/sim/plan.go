@@ -26,7 +26,22 @@ import (
 // fault model the plan must tolerate.
 type Plan struct {
 	trajs []*trajectory.Trajectory
-	model fault.Model
+	// groups lists the distinct trajectories in order of first
+	// appearance; robotGroup maps each robot to its group.
+	groups     []Group
+	robotGroup []int
+	model      fault.Model
+}
+
+// Group is the set of robots following one shared trajectory. Robots
+// on the same schedule share one *trajectory.Trajectory (see
+// strategy.Strategy.Build), so grouping is by pointer, with no content
+// comparison. Evaluators walk each group's trajectory once and count
+// its robots.
+type Group struct {
+	Traj *trajectory.Trajectory
+	// Robots is the group's multiplicity, at least 1.
+	Robots int
 }
 
 // NewPlan wraps trajectories and a crash fault budget — the source
@@ -56,7 +71,19 @@ func NewPlanModel(trajs []*trajectory.Trajectory, m fault.Model) (*Plan, error) 
 			return nil, fmt.Errorf("sim: robot %d: %w", i, err)
 		}
 	}
-	return &Plan{trajs: append([]*trajectory.Trajectory(nil), trajs...), model: m}, nil
+	p := &Plan{trajs: append([]*trajectory.Trajectory(nil), trajs...), robotGroup: make([]int, n), model: m}
+	index := make(map[*trajectory.Trajectory]int, n)
+	for i, tr := range p.trajs {
+		g, ok := index[tr]
+		if !ok {
+			g = len(p.groups)
+			index[tr] = g
+			p.groups = append(p.groups, Group{Traj: tr})
+		}
+		p.groups[g].Robots++
+		p.robotGroup[i] = g
+	}
+	return p, nil
 }
 
 // Modeller is the optional strategy extension declaring the fault model
@@ -98,6 +125,13 @@ func (p *Plan) DetectionRank() int { return p.model.DetectionRank() }
 func (p *Plan) Trajectories() []*trajectory.Trajectory {
 	return append([]*trajectory.Trajectory(nil), p.trajs...)
 }
+
+// Groups returns the plan's robot groups in order of first appearance;
+// their multiplicities sum to N().
+func (p *Plan) Groups() []Group { return append([]Group(nil), p.groups...) }
+
+// RobotGroup returns the index in Groups() of robot i's group.
+func (p *Plan) RobotGroup(i int) int { return p.robotGroup[i] }
 
 // Visit records one robot's first arrival at a queried position.
 type Visit struct {

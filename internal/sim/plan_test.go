@@ -219,3 +219,44 @@ func TestFirstVisitsSingleRobot(t *testing.T) {
 		t.Errorf("FirstVisits(-1) = %v, want empty", got)
 	}
 }
+
+// TestPlanGroups checks grouping by trajectory pointer: groups in order
+// of first appearance with their multiplicities, the robot → group
+// index over interleaved robots, equal-content trajectories behind
+// different pointers kept apart, and Groups returning a copy.
+func TestPlanGroups(t *testing.T) {
+	ray := func() *trajectory.Trajectory {
+		return trajectory.Must(nil, trajectory.MustRay(geom.Point{X: 0, T: 0}, trajectory.Right))
+	}
+	a, b, c := ray(), ray(), ray()
+	p, err := NewPlan([]*trajectory.Trajectory{a, b, a, c, b, a}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := p.Groups()
+	want := []Group{{a, 3}, {b, 2}, {c, 1}}
+	if len(groups) != len(want) {
+		t.Fatalf("got %d groups, want %d", len(groups), len(want))
+	}
+	for g := range want {
+		if groups[g] != want[g] {
+			t.Errorf("group %d = %+v, want %+v", g, groups[g], want[g])
+		}
+	}
+	for i, g := range []int{0, 1, 0, 2, 1, 0} {
+		if got := p.RobotGroup(i); got != g {
+			t.Errorf("RobotGroup(%d) = %d, want %d", i, got, g)
+		}
+	}
+	groups[0].Robots = 99
+	if p.Groups()[0].Robots != 3 {
+		t.Error("Groups exposed the plan's own slice")
+	}
+	q, err := p.WithFaultBudget(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Groups(); len(got) != 3 || got[0] != want[0] {
+		t.Errorf("WithFaultBudget groups = %+v", got)
+	}
+}
