@@ -1,6 +1,7 @@
 package linesearch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -487,4 +488,47 @@ func FuzzSearchTime(fz *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSearcherMonteCarloPinned pins Searcher.MonteCarlo to the bit on
+// the default worker count. The values were recorded before the Monte
+// Carlo worker pool was replaced by a shared driver and must not move.
+func TestSearcherMonteCarloPinned(t *testing.T) {
+	cases := []struct {
+		n, f             int
+		byzantine        bool
+		seed             int64
+		mean, min, max   string
+		median, p95, p99 string
+	}{
+		{5, 2, false, 0, "3fffa87acd66b32d", "3ff66b31b8898b4e", "4011acc9e2a119ae", "3ffbb150df999efb", "400c778e56eae357", "40111bdc3d2d2d99"},
+		{5, 2, false, 11, "40007a403c43bdcc", "3ff67a0bd47811cc", "4011a39fee25dc83", "3ffc166e57f6fcfa", "400d56e3be2ffddb", "401195d78d7ff0ac"},
+		{8, 3, false, 0, "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000"},
+		{8, 3, false, 11, "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000"},
+		{7, 1, true, 0, "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000"},
+		{7, 1, true, 11, "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000", "3ff0000000000000"},
+		{7, 2, true, 0, "400feeaa272bdd15", "4005a6a3b4e948d5", "40171699da3a4db6", "400ea829d2b5c6d5", "4015e52cd9fc14bb", "4016ddf46faae20c"},
+		{7, 2, true, 11, "400f51fe39b5825c", "4005a79834c679c0", "4017039844c3b1a9", "400e7c5bdc31bf6d", "401594fa70915a74", "4016b53285af061e"},
+	}
+	hex := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+	for _, c := range cases {
+		var opts []Option
+		if c.byzantine {
+			opts = append(opts, WithFaultModel("byzantine"))
+		}
+		s, err := NewSearcher(c.n, c.f, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.MonteCarlo(301, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [6]string{hex(st.Mean), hex(st.Min), hex(st.Max), hex(st.Median), hex(st.P95), hex(st.P99)}
+		want := [6]string{c.mean, c.min, c.max, c.median, c.p95, c.p99}
+		if got != want || st.Trials != 301 {
+			t.Errorf("(%d,%d) byzantine=%v seed %d: [mean min max median p95 p99] = %v (trials %d), want %v",
+				c.n, c.f, c.byzantine, c.seed, got, st.Trials, want)
+		}
+	}
 }
