@@ -2,8 +2,8 @@ package compiled
 
 import (
 	"math"
-	"sync"
 
+	"linesearch/internal/numeric"
 	"linesearch/internal/sim"
 )
 
@@ -14,8 +14,8 @@ import (
 // candidates from sim.Plan.ScanCRCandidates and keeps a running
 // supremum, evaluating a shared trajectory's corner probes once and
 // allocating no candidate or ratio slice. With more workers (MeasureCR)
-// it materialises the candidates and splits them across goroutines,
-// one evaluator each.
+// it materialises the candidates, splits them with numeric.ForChunks
+// (one evaluator per chunk) and reduces with sim.CRFromRatios.
 func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	opts = opts.WithDefaults()
 	if opts.Parallelism <= 1 {
@@ -27,35 +27,15 @@ func (p *Plan) CR(opts sim.CROptions) (sim.CRResult, error) {
 	}
 
 	ratios := make([]float64, len(candidates))
-	workers := min(opts.Parallelism, len(candidates))
-	var wg sync.WaitGroup
-	chunk := (len(candidates) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(candidates))
-		if lo >= hi {
-			break
+	numeric.ForChunks(len(candidates), opts.Parallelism, func(_, lo, hi int) error {
+		e := p.evals.get()
+		for i := lo; i < hi; i++ {
+			ratios[i] = e.SearchTime(candidates[i]) / math.Abs(candidates[i])
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			e := p.evals.get()
-			for i := lo; i < hi; i++ {
-				ratios[i] = e.SearchTime(candidates[i]) / math.Abs(candidates[i])
-			}
-			p.evals.put(e)
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	res := sim.CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
-	for i, r := range ratios {
-		if r > res.Sup {
-			res.Sup = r
-			res.ArgX = candidates[i]
-		}
-	}
-	return res, nil
+		p.evals.put(e)
+		return nil
+	})
+	return sim.CRFromRatios(candidates, ratios), nil
 }
 
 // crSerial is CR on one goroutine over the streamed candidates: the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"linesearch/internal/numeric"
 	"linesearch/internal/telemetry"
@@ -71,8 +70,10 @@ type MCResult struct {
 }
 
 // MonteCarlo estimates the detection-time distribution of a target at
-// cfg.X under robots/opts. Trials are statically chunked over workers
-// and every trial's stream is derived from (Seed, trial index) alone,
+// cfg.X under robots/opts. numeric.ForChunks splits the trials over
+// cfg.Parallelism goroutines, each building its own Engine (so a fleet
+// that fails validation fails every chunk with the same error), and
+// every trial's stream is derived from (Seed, trial index) alone,
 // so the returned statistics are bit-identical for every Parallelism.
 // When ctx carries a telemetry trace, the run is recorded as an
 // "engine.mc" span annotated with trial and event counts.
@@ -88,12 +89,6 @@ func MonteCarlo(ctx context.Context, robots []RobotSpec, opts Options, cfg MCCon
 	if err := cfg.validate(); err != nil {
 		return MCResult{}, err
 	}
-	// Validate the fleet once up front so workers cannot race on a
-	// construction error.
-	if _, err := New(robots, opts); err != nil {
-		return MCResult{}, err
-	}
-
 	root := NewStream(cfg.Seed)
 	times := make([]float64, cfg.Trials)
 	counts := make([]struct {
@@ -101,84 +96,46 @@ func MonteCarlo(ctx context.Context, robots []RobotSpec, opts Options, cfg MCCon
 		events                int64
 	}, cfg.Parallelism)
 
-	workers := cfg.Parallelism
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	chunk := (cfg.Trials + workers - 1) / workers
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > cfg.Trials {
-			hi = cfg.Trials
+	err = numeric.ForChunks(cfg.Trials, cfg.Parallelism, func(w, lo, hi int) error {
+		eng, err := New(robots, opts)
+		if err != nil {
+			return err
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			eng, err := New(robots, opts)
+		c := &counts[w]
+		for i := lo; i < hi; i++ {
+			run, err := eng.Search(cfg.X, root.Split(uint64(i)))
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
+				return err
 			}
-			for i := lo; i < hi; i++ {
-				res, err := eng.Search(cfg.X, root.Split(uint64(i)))
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				times[i] = res.DetectTime
-				counts[w].events += int64(res.Events)
-				if !res.Detected {
-					counts[w].undetected++
-				}
-				if res.Truncated {
-					counts[w].truncated++
-				}
+			times[i] = run.DetectTime
+			c.events += int64(run.Events)
+			if !run.Detected {
+				c.undetected++
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return MCResult{}, firstErr
+			if run.Truncated {
+				c.truncated++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return MCResult{}, err
 	}
 
-	res = MCResult{Trials: cfg.Trials, Min: math.Inf(1), Max: math.Inf(-1)}
+	res = MCResult{Trials: cfg.Trials}
 	for _, c := range counts {
 		res.Undetected += c.undetected
 		res.Truncated += c.truncated
 		res.Events += c.events
 	}
-	for _, t := range times {
-		res.Min = math.Min(res.Min, t)
-		res.Max = math.Max(res.Max, t)
-	}
+	res.Mean, res.Min, res.Max = numeric.MeanMinMax(times)
 	if res.Undetected > 0 || res.Truncated > 0 {
 		// Any +Inf trial makes the empirical mean infinite; compensated
-		// summation over infinities would only manufacture NaNs.
+		// summation over infinities only manufactures a NaN.
 		res.Mean = math.Inf(1)
 		res.StdErr = math.NaN()
 		return res, nil
 	}
-	var sum numeric.KahanSum
-	for _, t := range times {
-		sum.Add(t)
-	}
-	res.Mean = sum.Value() / float64(cfg.Trials)
 	if cfg.Trials == 1 {
 		res.StdErr = math.NaN()
 		return res, nil

@@ -122,6 +122,20 @@ func Sum(vs ...float64) float64 {
 	return k.Value()
 }
 
+// MeanMinMax returns the compensated (KahanSum) mean of xs and its
+// extremes in one pass, folding left to right. Empty xs gives a NaN
+// mean, lo = +Inf and hi = -Inf.
+func MeanMinMax(xs []float64) (mean, lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	var sum KahanSum
+	for _, x := range xs {
+		sum.Add(x)
+		lo = math.Min(lo, x)
+		hi = math.Max(hi, x)
+	}
+	return sum.Value() / float64(len(xs)), lo, hi
+}
+
 // GeometricSum returns 1 + q + q^2 + ... + q^(m-1), computed in closed
 // form where numerically safe and by compensated summation otherwise.
 // m must be >= 0.

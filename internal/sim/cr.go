@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"linesearch/internal/numeric"
 )
@@ -88,9 +87,9 @@ type CRResult struct {
 // past them, so the supremum is attained in the right-limit at turning
 // points; the search therefore evaluates just beyond every trajectory
 // corner on both half lines, plus a geometric safety grid. Candidates
-// are evaluated by a worker pool (CROptions.Parallelism); the result is
-// deterministic: the first candidate in generation order achieving the
-// supremum is the witness.
+// are split over CROptions.Parallelism goroutines by numeric.ForChunks;
+// the result is deterministic: the first candidate in generation order
+// achieving the supremum is the witness (CRFromRatios).
 func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 	opts = opts.WithDefaults()
 	candidates, err := p.CRCandidates(opts)
@@ -99,37 +98,22 @@ func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 	}
 
 	ratios := make([]float64, len(candidates))
-	workers := opts.Parallelism
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers == 1 {
-		for i, x := range candidates {
-			ratios[i] = p.SearchTime(x) / math.Abs(x)
+	numeric.ForChunks(len(candidates), opts.Parallelism, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
 		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(candidates) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(candidates) {
-				hi = len(candidates)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					ratios[i] = p.SearchTime(candidates[i]) / math.Abs(candidates[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+		return nil
+	})
+	return CRFromRatios(candidates, ratios), nil
+}
 
+// CRFromRatios reduces the ratios evaluated at candidates (ratios[i]
+// belongs to candidates[i]) to a CRResult: the first strict maximum in
+// candidate order is the supremum and its candidate the witness, so the
+// result does not depend on how the ratios were computed. It is the one
+// reduction of the materialised CR scans, here and in the compiled
+// kernel.
+func CRFromRatios(candidates, ratios []float64) CRResult {
 	res := CRResult{Sup: math.Inf(-1), Candidates: len(candidates)}
 	for i, r := range ratios {
 		if r > res.Sup {
@@ -137,7 +121,7 @@ func (p *Plan) EmpiricalCR(opts CROptions) (CRResult, error) {
 			res.ArgX = candidates[i]
 		}
 	}
-	return res, nil
+	return res
 }
 
 // CRCandidates generates the deterministic candidate list the

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"linesearch/internal/fault"
 	"linesearch/internal/numeric"
@@ -87,9 +86,10 @@ func (r MCResult) Quantile(q float64) (float64, error) {
 const trialSeedMix = int64(-7046029254386353131) // 0x9E3779B97F4A7C15
 
 // MonteCarlo runs cfg.Trials random searches against the plan and
-// reports the distribution of detection ratios. Trials execute on a
-// worker pool; every trial seeds its own generator from (Seed, index),
-// so the result depends only on the configuration. Random faults are
+// reports the distribution of detection ratios. Trials are split over
+// cfg.Parallelism goroutines by numeric.ForChunks; every trial seeds
+// its own generator from (Seed, index), so the result depends only on
+// the configuration. Random faults are
 // typically far kinder than the adversarial assignment: the mean ratio
 // sits well below the worst-case competitive ratio.
 func (p *Plan) MonteCarlo(cfg MCConfig) (MCResult, error) {
@@ -99,61 +99,22 @@ func (p *Plan) MonteCarlo(cfg MCConfig) (MCResult, error) {
 	}
 
 	ratios := make([]float64, cfg.Trials)
-	workers := cfg.Parallelism
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	chunk := (cfg.Trials + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > cfg.Trials {
-			hi = cfg.Trials
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				ratio, err := p.trial(cfg, i)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				ratios[i] = ratio
+	err := numeric.ForChunks(cfg.Trials, cfg.Parallelism, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			ratio, err := p.trial(cfg, i)
+			if err != nil {
+				return err
 			}
-		}(lo, hi)
+			ratios[i] = ratio
+		}
+		return nil
+	})
+	if err != nil {
+		return MCResult{}, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return MCResult{}, firstErr
-	}
-
-	res := MCResult{
-		Trials: cfg.Trials,
-		Min:    math.Inf(1),
-		Max:    math.Inf(-1),
-		ratios: ratios,
-	}
-	var sum numeric.KahanSum
-	for _, ratio := range ratios {
-		sum.Add(ratio)
-		res.Min = math.Min(res.Min, ratio)
-		res.Max = math.Max(res.Max, ratio)
-	}
+	res := MCResult{Trials: cfg.Trials, ratios: ratios}
+	res.Mean, res.Min, res.Max = numeric.MeanMinMax(ratios)
 	sort.Float64s(res.ratios)
-	res.Mean = sum.Value() / float64(cfg.Trials)
 	return res, nil
 }
 
