@@ -3,9 +3,6 @@ package service
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -13,6 +10,7 @@ import (
 
 	"linesearch"
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/seal"
 	"linesearch/internal/telemetry"
 )
 
@@ -53,15 +51,7 @@ func (k PlanKey) String() string {
 // consistent-hash ring places every plan by this value, so the same
 // tuple always lands on the same backend regardless of which process
 // computes the hash.
-func (k PlanKey) Hash() string {
-	blob, err := json.Marshal(k)
-	if err != nil {
-		// PlanKey is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal plan key: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
-}
+func (k PlanKey) Hash() string { return seal.Hash(k) }
 
 // Plan is a cached value: the immutable Searcher plus its worst-case
 // competitive ratio, computed once at build time because strategies

@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/seal"
 	"linesearch/internal/telemetry"
 	"linesearch/internal/telemetry/journal"
 )
@@ -61,13 +62,7 @@ type CacheSnapshot struct {
 // the decoded value, it is independent of wire whitespace.
 func (s CacheSnapshot) checksum() string {
 	s.Checksum = ""
-	blob, err := json.Marshal(s)
-	if err != nil {
-		// CacheSnapshot is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("service: marshal cache snapshot: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return seal.Hash(s)
 }
 
 // Seal stamps the content checksum. The router uses it to re-seal the
@@ -98,9 +93,7 @@ func (c *PlanCache) Export(limit int) CacheSnapshot {
 		entries = append(entries, CacheSnapshotEntry{Key: ce.key, CR: ce.plan.CR})
 	}
 	c.mu.Unlock()
-	snap := CacheSnapshot{Version: cacheSnapshotVersion, Entries: entries}
-	snap.Checksum = snap.checksum()
-	return snap
+	return NewCacheSnapshot(entries)
 }
 
 // ImportStats reports what one snapshot import did.

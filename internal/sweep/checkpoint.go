@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"linesearch/internal/faultpoint"
+	"linesearch/internal/seal"
 )
 
 // checkpointVersion guards the on-disk layout; bump on incompatible
@@ -52,13 +51,7 @@ type Checkpoint struct {
 // the decoded value, it is independent of on-disk whitespace.
 func (cp Checkpoint) checksum() string {
 	cp.Checksum = ""
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		// Checkpoint is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("sweep: marshal checkpoint: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return seal.Hash(cp)
 }
 
 // Verify checks a decoded checkpoint's integrity: the wire version

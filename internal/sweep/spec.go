@@ -11,13 +11,11 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 
+	"linesearch/internal/seal"
 	"linesearch/internal/strategy"
 )
 
@@ -376,15 +374,7 @@ func (s Spec) Cells() []CellParams {
 // Hash returns a stable content hash of the normalised spec. Job IDs
 // derive from it, which is what makes resume work across restarts: the
 // same spec always maps to the same job and checkpoint file.
-func (s Spec) Hash() string {
-	blob, err := json.Marshal(s)
-	if err != nil {
-		// Spec is plain data; Marshal cannot fail on a validated value.
-		panic(fmt.Sprintf("sweep: marshal spec: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
-}
+func (s Spec) Hash() string { return seal.Hash(s) }
 
 // JobID returns the deterministic job identifier for the spec.
 func (s Spec) JobID() string {
