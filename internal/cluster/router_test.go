@@ -387,27 +387,65 @@ func TestRouterSingleAttemptForSideEffects(t *testing.T) {
 // serving path.
 func TestRouterWarmTransfer(t *testing.T) {
 	var logs lockedBuffer
-	f := newFleet(t, 2, Config{WarmKeys: 64, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	const warmKeys = 64
+	f := newFleet(t, 2, Config{WarmKeys: warmKeys, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 
-	// Warm the fleet through the router so each backend caches its
-	// share of the mix.
-	var planQueries []string
-	for n := 2; n <= 9; n++ {
-		for fc := 1; fc < n && fc <= 2; fc++ {
-			planQueries = append(planQueries, fmt.Sprintf("/v1/plan?n=%d&f=%d", n, fc))
-		}
-	}
-	for _, q := range planQueries {
-		if code, body := f.get(t, q); code != http.StatusOK {
-			t.Fatalf("%s: %d %s", q, code, body)
-		}
-	}
-
-	// Join a third backend and reshape.
+	// The joiner and the ring the reshape will install, built up front
+	// so the test knows which warmed keys move before it reshapes.
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	joiner := service.New(service.Config{Logger: quiet})
 	joinerSrv := httptest.NewServer(joiner.Handler())
 	t.Cleanup(func() { joinerSrv.Close(); joiner.Close() })
+	joinerName := strings.TrimPrefix(joinerSrv.URL, "http://")
+	next := NewRing(f.router.cfg.VNodes)
+	for i := range f.backends {
+		next.Add(f.backendName(i))
+	}
+	next.Add(joinerName)
+
+	// ownedByJoiner counts, per donor, the entries of the export the
+	// warm transfer will fetch that the new ring gives the joiner.
+	ownedByJoiner := func() []int {
+		owned := make([]int, len(f.services))
+		for i, svc := range f.services {
+			for _, e := range svc.Cache().Export(warmKeys).Entries {
+				if next.Owner(e.Key.Hash()) == joinerName {
+					owned[i]++
+				}
+			}
+		}
+		return owned
+	}
+	moved := func() int {
+		total := 0
+		for _, n := range ownedByJoiner() {
+			total += n
+		}
+		return total
+	}
+
+	// Warm the fleet through the router so each backend caches its
+	// share of the mix. Ports are ephemeral, so the base mix leaves
+	// the joiner no key about once in 400 runs ((2/3)^15); extend the
+	// mix until it owns at least one.
+	var planQueries []string
+	warm := func(q string) {
+		t.Helper()
+		if code, body := f.get(t, q); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q, code, body)
+		}
+		planQueries = append(planQueries, q)
+	}
+	for n := 2; n <= 9; n++ {
+		for fc := 1; fc < n && fc <= 2; fc++ {
+			warm(fmt.Sprintf("/v1/plan?n=%d&f=%d", n, fc))
+		}
+	}
+	for n := 10; moved() == 0; n++ {
+		warm(fmt.Sprintf("/v1/plan?n=%d&f=1", n))
+	}
+	want := moved()
+
 	urls := []string{f.backends[0].URL, f.backends[1].URL, joinerSrv.URL}
 	if err := f.router.SetTopology(urls); err != nil {
 		t.Fatalf("SetTopology: %v", err)
@@ -415,8 +453,8 @@ func TestRouterWarmTransfer(t *testing.T) {
 
 	// why explains a failure with the router's own account of the
 	// transfer — its counters, journal and log — plus how many donor
-	// entries the new ring gives the joiner, so a flake names its cause
-	// instead of only its symptom.
+	// entries the new ring gives the joiner, so a failure names its
+	// cause instead of only its symptom.
 	why := func() string {
 		st := f.router.Stats()
 		var b strings.Builder
@@ -425,34 +463,24 @@ func TestRouterWarmTransfer(t *testing.T) {
 		for _, ev := range f.router.journal.Events() {
 			fmt.Fprintf(&b, "\nrouter journal #%d %s member=%q %s", ev.Seq, ev.Kind, ev.Member, ev.Detail)
 		}
-		f.router.mu.RLock()
-		ring := f.router.ring
-		f.router.mu.RUnlock()
-		joinerName := strings.TrimPrefix(joinerSrv.URL, "http://")
-		for i, svc := range f.services {
-			entries := svc.Cache().Export(64).Entries
-			owned := 0
-			for _, e := range entries {
-				if ring.Owner(e.Key.Hash()) == joinerName {
-					owned++
-				}
-			}
-			fmt.Fprintf(&b, "\ndonor %s holds %d entries, %d of them owned by the joiner",
-				f.backendName(i), len(entries), owned)
+		for i, owned := range ownedByJoiner() {
+			fmt.Fprintf(&b, "\ndonor %s holds %d entries owned by the joiner", f.backendName(i), owned)
 		}
 		b.WriteString("\nrouter log:\n" + logs.String())
 		return b.String()
 	}
 
-	// The joiner now owns ~1/3 of the warmed keys; the warm transfer
-	// must have pushed them.
+	// The warm transfer must have pushed exactly the keys the new ring
+	// gives the joiner, in one import that builds each of them.
 	cs := joiner.Cache().Stats()
-	if cs.Imports == 0 || cs.Warmed == 0 {
-		t.Fatalf("joiner cache after transfer: imports=%d warmed=%d, want both > 0%s", cs.Imports, cs.Warmed, why())
+	if cs.Imports != 1 || cs.Warmed != int64(want) {
+		t.Fatalf("joiner cache after transfer: imports=%d warmed=%d, want 1 import warming %d keys%s",
+			cs.Imports, cs.Warmed, want, why())
 	}
 	st := f.router.Stats()
-	if st.WarmRuns != 1 || st.WarmKeys == 0 || st.WarmErrors != 0 {
-		t.Fatalf("router warm stats = runs %d, keys %d, errors %d%s", st.WarmRuns, st.WarmKeys, st.WarmErrors, why())
+	if st.WarmRuns != 1 || st.WarmKeys != int64(want) || st.WarmErrors != 0 {
+		t.Fatalf("router warm stats = runs %d, keys %d, errors %d, want 1, %d, 0%s",
+			st.WarmRuns, st.WarmKeys, st.WarmErrors, want, why())
 	}
 
 	// Replay the full mix: the joiner serves its keys as pure hits.
