@@ -19,6 +19,13 @@ func Hash(v any) string {
 	if err != nil {
 		panic(fmt.Sprintf("seal: marshal %T: %v", v, err))
 	}
+	return Sum(blob)
+}
+
+// Sum returns the lowercase hex SHA-256 of blob. Hash(v) is
+// Sum(json.Marshal(v)); callers that already hold a value's compact
+// JSON encoding seal it with Sum instead of encoding it again.
+func Sum(blob []byte) string {
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:])
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,7 +45,31 @@ type Checkpoint struct {
 	Cells     []Cell    `json:"cells"`
 	UpdatedAt time.Time `json:"updated_at"`
 	Checksum  string    `json:"checksum"`
+
+	// encoded holds the compact JSON encoding of Cells[i] at index i
+	// when the job already made it; a nil or missing entry is encoded
+	// on write.
+	encoded []json.RawMessage
 }
+
+// checkpointJSON is Checkpoint's JSON layout field for field, with
+// each cell already encoded, so a flush reuses every cell's encoding
+// instead of marshalling all cells again. TestCheckpointFileBytesPinned
+// holds the two layouts to the same bytes.
+type checkpointJSON struct {
+	Version   int               `json:"version"`
+	ID        string            `json:"id"`
+	SpecHash  string            `json:"spec_hash"`
+	Spec      Spec              `json:"spec"`
+	Cells     []json.RawMessage `json:"cells"`
+	UpdatedAt time.Time         `json:"updated_at"`
+	Checksum  string            `json:"checksum"`
+}
+
+// corruptError marks checkpoint bytes that cannot be trusted
+// (undecodable, or failing their checksum), as opposed to a failed
+// read or a version skew. The home read path moves such files aside.
+type corruptError struct{ error }
 
 // checksum returns the hex SHA-256 of the checkpoint's canonical form:
 // the compact JSON encoding with the Checksum field blank. Computed on
@@ -62,10 +87,49 @@ func (cp Checkpoint) Verify() error {
 		return fmt.Errorf("sweep: checkpoint %s has version %d, want %d", cp.ID, cp.Version, checkpointVersion)
 	}
 	if want := cp.checksum(); cp.Checksum != want {
-		return fmt.Errorf("sweep: checkpoint %s failed its checksum: file has %.12s, content hashes to %.12s",
-			cp.ID, cp.Checksum, want)
+		return corruptError{fmt.Errorf("sweep: checkpoint %s failed its checksum: file has %.12s, content hashes to %.12s",
+			cp.ID, cp.Checksum, want)}
 	}
 	return nil
+}
+
+// marshal returns the checkpoint's file bytes and the checksum of its
+// content. The canonical form (compact JSON, Checksum blank) is built
+// from the cells' encodings and hashed once; the sum is spliced into
+// its closing blank checksum and the result indented. Once cp.Checksum
+// holds sum, the bytes are exactly json.MarshalIndent(cp, "", " ") and
+// a newline, and sum is cp.checksum(). Home and replica files both
+// come from here, so a replica is the home file byte for byte.
+func (cp Checkpoint) marshal() ([]byte, string, error) {
+	w := checkpointJSON{Version: cp.Version, ID: cp.ID, SpecHash: cp.SpecHash, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt}
+	if cp.Cells != nil {
+		w.Cells = make([]json.RawMessage, len(cp.Cells))
+		for i := range cp.Cells {
+			if i < len(cp.encoded) && cp.encoded[i] != nil {
+				w.Cells[i] = cp.encoded[i]
+				continue
+			}
+			raw, err := json.Marshal(cp.Cells[i])
+			if err != nil {
+				return nil, "", err
+			}
+			w.Cells[i] = raw
+		}
+	}
+	canonical, err := json.Marshal(w)
+	if err != nil {
+		return nil, "", err
+	}
+	sum := seal.Sum(canonical)
+	// Checksum is the last field, so the canonical form ends in `""}`.
+	stamped := append(canonical[:len(canonical)-len(`""}`)], `"`+sum+`"}`...)
+	var file bytes.Buffer
+	file.Grow(len(stamped) * 3 / 2)
+	if err := json.Indent(&file, stamped, "", " "); err != nil {
+		return nil, "", err
+	}
+	file.WriteByte('\n')
+	return file.Bytes(), sum, nil
 }
 
 // checkpointPath returns the checkpoint file for a job ID.
@@ -83,15 +147,19 @@ func writeCheckpoint(dir string, cp Checkpoint) (Checkpoint, error) {
 	if err := faultpoint.Hit(fpCheckpointWrite); err != nil {
 		return cp, fmt.Errorf("sweep: write checkpoint: %w", err)
 	}
-	sort.Slice(cp.Cells, func(i, j int) bool { return cp.Cells[i].Index < cp.Cells[j].Index })
+	byIndex := func(i, j int) bool { return cp.Cells[i].Index < cp.Cells[j].Index }
+	if !sort.SliceIsSorted(cp.Cells, byIndex) {
+		sort.Slice(cp.Cells, byIndex)
+		cp.encoded = nil // no longer index-aligned
+	}
 	cp.Version = checkpointVersion
 	cp.UpdatedAt = time.Now().UTC()
-	cp.Checksum = cp.checksum()
-	blob, err := json.MarshalIndent(cp, "", " ")
+	blob, sum, err := cp.marshal()
 	if err != nil {
 		return cp, fmt.Errorf("sweep: marshal checkpoint: %w", err)
 	}
-	if err := writeFileDurable(dir, cp.ID, checkpointPath(dir, cp.ID), append(blob, '\n')); err != nil {
+	cp.Checksum = sum
+	if err := writeFileDurable(dir, cp.ID, checkpointPath(dir, cp.ID), blob); err != nil {
 		return cp, err
 	}
 	return cp, nil
@@ -162,28 +230,17 @@ func readCheckpoint(dir, id, wantHash string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sweep: read checkpoint: %w", err)
 	}
 	path := checkpointPath(dir, id)
-	blob, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+	cp, err := loadCheckpoint(path, id)
+	if errors.As(err, new(corruptError)) {
+		return nil, fmt.Errorf("%w (%s)", err, quarantineCorrupt(path))
 	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: read checkpoint: %w", err)
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil {
-		return nil, fmt.Errorf("sweep: decode checkpoint %s (%s): %w", id, quarantineCorrupt(path), err)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("sweep: checkpoint %s has version %d, want %d", id, cp.Version, checkpointVersion)
-	}
-	if want := cp.checksum(); cp.Checksum != want {
-		return nil, fmt.Errorf("sweep: checkpoint %s failed its checksum (%s): file has %.12s, content hashes to %.12s",
-			id, quarantineCorrupt(path), cp.Checksum, want)
+	if err != nil || cp == nil {
+		return nil, err
 	}
 	if cp.SpecHash != wantHash {
 		return nil, fmt.Errorf("sweep: checkpoint %s was written for a different spec (hash %.12s, want %.12s)", id, cp.SpecHash, wantHash)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // LoadCheckpoint loads and verifies (version, checksum) the checkpoint
@@ -193,7 +250,14 @@ func readCheckpoint(dir, id, wantHash string) (*Checkpoint, error) {
 // file is an error but is left in place (the home read path owns
 // quarantining).
 func LoadCheckpoint(dir, id string) (*Checkpoint, error) {
-	blob, err := os.ReadFile(checkpointPath(dir, id))
+	return loadCheckpoint(checkpointPath(dir, id), id)
+}
+
+// loadCheckpoint reads, decodes and verifies the checkpoint file at
+// path, the one decoder behind every read path. Missing is (nil, nil);
+// undecodable or checksum-mismatched bytes are a corruptError.
+func loadCheckpoint(path, id string) (*Checkpoint, error) {
+	blob, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -202,7 +266,7 @@ func LoadCheckpoint(dir, id string) (*Checkpoint, error) {
 	}
 	var cp Checkpoint
 	if err := json.Unmarshal(blob, &cp); err != nil {
-		return nil, fmt.Errorf("sweep: decode checkpoint %s: %w", id, err)
+		return nil, corruptError{fmt.Errorf("sweep: decode checkpoint %s: %w", id, err)}
 	}
 	if err := cp.Verify(); err != nil {
 		return nil, err
@@ -272,15 +336,9 @@ func ScanCheckpoints(dir string) map[string]CheckpointInfo {
 		return out
 	}
 	for _, path := range matches {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			continue
+		if cp, err := loadCheckpoint(path, filepath.Base(path)); err == nil && cp != nil {
+			out[cp.ID] = cp.info()
 		}
-		var cp Checkpoint
-		if err := json.Unmarshal(blob, &cp); err != nil || cp.Verify() != nil {
-			continue
-		}
-		out[cp.ID] = cp.info()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -32,17 +33,22 @@ func (s State) Terminal() bool {
 // Job is one submitted sweep. All exported access goes through Status
 // and Result; the manager owns execution.
 type Job struct {
-	id    string
-	spec  Spec
-	cells []CellParams
+	id       string
+	spec     Spec
+	specHash string
+	cells    []CellParams
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu       sync.Mutex
-	state    State
-	results  map[int]Cell
+	mu      sync.Mutex
+	state   State
+	results map[int]Cell
+	// encoded caches each result's compact JSON encoding, made the
+	// first time a checkpoint snapshot includes the cell. Recorded
+	// cells never change, so every flush reuses it.
+	encoded  map[int]json.RawMessage
 	resumed  int
 	started  time.Time
 	finished time.Time
@@ -55,14 +61,16 @@ type Job struct {
 func newJob(base context.Context, spec Spec, cp *Checkpoint) *Job {
 	ctx, cancel := context.WithCancel(base)
 	j := &Job{
-		id:      spec.JobID(),
-		spec:    spec,
-		cells:   spec.Cells(),
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		state:   StatePending,
-		results: make(map[int]Cell),
+		id:       spec.JobID(),
+		spec:     spec,
+		specHash: spec.Hash(),
+		cells:    spec.Cells(),
+		ctx:      ctx,
+		cancel:   cancel,
+		done:     make(chan struct{}),
+		state:    StatePending,
+		results:  make(map[int]Cell),
+		encoded:  make(map[int]json.RawMessage),
 	}
 	if cp != nil {
 		for _, c := range cp.Cells {
@@ -266,15 +274,32 @@ func (j *Job) Dataset() (*trace.Dataset, error) {
 	return d, nil
 }
 
-// checkpoint snapshots the job for persistence.
+// checkpoint snapshots the job for persistence: its cells in index
+// order, each with its cached encoding. A cell is encoded the first
+// time a snapshot includes it; one that fails to encode stays
+// uncached, and the write reports the error.
 func (j *Job) checkpoint() Checkpoint {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	cells := j.sortedCellsLocked()
+	encoded := make([]json.RawMessage, len(cells))
+	for i, c := range cells {
+		raw, ok := j.encoded[c.Index]
+		if !ok {
+			var err error
+			if raw, err = json.Marshal(c); err != nil {
+				continue
+			}
+			j.encoded[c.Index] = raw
+		}
+		encoded[i] = raw
+	}
 	return Checkpoint{
 		ID:       j.id,
-		SpecHash: j.spec.Hash(),
+		SpecHash: j.specHash,
 		Spec:     j.spec,
-		Cells:    j.sortedCellsLocked(),
+		Cells:    cells,
+		encoded:  encoded,
 	}
 }
 
@@ -296,6 +321,7 @@ func (j *Job) record(c Cell) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.results[c.Index] = c
+	delete(j.encoded, c.Index)
 	return len(j.results)
 }
 

@@ -56,9 +56,12 @@ type Config struct {
 	// write (cadence flushes and terminal states) with the exact
 	// stamped content now on disk. The fleet wiring points it at the
 	// cluster replicator, which streams the checkpoint to the other
-	// f ring owners. Called synchronously from the job goroutine, so
-	// implementations must bound their own latency (the replicator
-	// spools hints instead of waiting out dead peers).
+	// f ring owners. Calls for one job never overlap, come in write
+	// order and all return before the job's Done channel closes.
+	// Cadence flushes run off the collector, so workers keep
+	// evaluating while the hook runs; but the next flush waits for it,
+	// so implementations must still bound their own latency (the
+	// replicator spools hints instead of waiting out dead peers).
 	OnCheckpoint func(Checkpoint)
 	// ReplicaDir, when set, is consulted on Submit when the home
 	// checkpoint is missing: a job whose previous home crashed resumes
@@ -391,6 +394,18 @@ func (m *Manager) runJob(j *Job) {
 		close(out)
 	}()
 
+	// Cadence flushes run on their own goroutine, at most one at a
+	// time: the collector waits for the previous flush before handing
+	// off the next snapshot, so flush count, content, write order and
+	// OnCheckpoint order are those of an inline flush, while workers
+	// keep evaluating through the write.
+	var flushing chan struct{} // closed when the in-flight flush returns
+	waitFlush := func() {
+		if flushing != nil {
+			<-flushing
+			flushing = nil
+		}
+	}
 	sinceFlush := 0
 	for cell := range out {
 		if cell.cancelled {
@@ -406,19 +421,38 @@ func (m *Manager) runJob(j *Job) {
 		sinceFlush++
 		if sinceFlush >= m.cfg.CheckpointEvery {
 			sinceFlush = 0
-			if stamped, err := writeCheckpoint(m.cfg.Dir, j.checkpoint()); err != nil {
-				m.checkpointFailures.Add(1)
-				m.cfg.Logger.Error("sweep checkpoint failed", "job", j.id, "err", err)
-			} else if m.cfg.OnCheckpoint != nil {
-				m.cfg.OnCheckpoint(stamped)
-			}
+			cp := j.checkpoint()
+			waitFlush()
+			done := make(chan struct{})
+			flushing = done
+			go func() {
+				defer close(done)
+				m.flush(j, cp)
+			}()
 		}
 	}
+	waitFlush()
 	m.finalize(j, j.ctx.Err() != nil)
 }
 
+// flush writes one cadence checkpoint and hands the stamped content to
+// OnCheckpoint. A failed write is counted and logged; the job goes on,
+// and the next flush or the final write retries.
+func (m *Manager) flush(j *Job, cp Checkpoint) {
+	stamped, err := writeCheckpoint(m.cfg.Dir, cp)
+	if err != nil {
+		m.checkpointFailures.Add(1)
+		m.cfg.Logger.Error("sweep checkpoint failed", "job", j.id, "err", err)
+		return
+	}
+	if m.cfg.OnCheckpoint != nil {
+		m.cfg.OnCheckpoint(stamped)
+	}
+}
+
 // finalize writes the last checkpoint and moves the job to its terminal
-// state, exporting datasets when every cell completed cleanly. Jobs
+// state, exporting datasets when every cell completed cleanly. Callers
+// have joined any cadence flush, so the final write comes last. Jobs
 // with quarantined cells fail loudly instead of passing a silently
 // degraded dataset off as done.
 func (m *Manager) finalize(j *Job, interrupted bool) {

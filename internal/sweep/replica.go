@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -80,11 +79,13 @@ func (s *ReplicaStore) Put(cp Checkpoint) error {
 			return nil
 		}
 	}
-	blob, err := json.MarshalIndent(cp, "", " ")
+	// Verify passed, so marshal's checksum is cp.Checksum and the file
+	// is the home writer's byte for byte.
+	blob, _, err := cp.marshal()
 	if err != nil {
 		return fmt.Errorf("sweep: marshal replica checkpoint: %w", err)
 	}
-	if err := writeFileDurable(s.dir, cp.ID, checkpointPath(s.dir, cp.ID), append(blob, '\n')); err != nil {
+	if err := writeFileDurable(s.dir, cp.ID, checkpointPath(s.dir, cp.ID), blob); err != nil {
 		return err
 	}
 	s.index[cp.ID] = cp.info()
