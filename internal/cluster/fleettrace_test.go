@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,28 +33,31 @@ func (f *fleet) fleetTraces(t *testing.T, query string) fleetTracesResponse {
 	return resp
 }
 
-// TestFleetTraceStitching is the end-to-end propagation test: one
-// sampled request enters the router, replica-read fan-out forwards it
-// to both owners, and /debug/fleet-traces must return a single stitched
-// trace whose hops span all three processes — router and both backends
-// — under the client's trace id.
-func TestFleetTraceStitching(t *testing.T) {
-	f := newFleet(t, 2, Config{})
+// stitchQuery is the pure read the stitching tests fan out.
+const stitchQuery = "/v1/searchtime?n=4&f=2&x=3.5"
 
-	// Down the primary owner so the pure read fans out, but leave its
-	// link intact: both owners serve the forwarded request, so both
-	// backends record a hop for the trace.
-	const query = "/v1/searchtime?n=4&f=2&x=3.5"
-	req := httptest.NewRequest("GET", query, nil)
+// downStitchPrimary marks the primary owner of stitchQuery down, so
+// the read fans out, but leaves its link intact: both owners serve
+// the forwarded request, so both backends record a hop for the trace.
+// It returns the primary and restores it at cleanup.
+func (f *fleet) downStitchPrimary(t *testing.T) *backend {
+	t.Helper()
+	req := httptest.NewRequest("GET", stitchQuery, nil)
 	key, _ := routingPolicy(req)
 	f.router.mu.RLock()
 	primary := f.router.ring.Owner(key)
 	pb := f.router.backends[primary]
 	f.router.mu.RUnlock()
 	pb.down.Store(true)
-	defer pb.down.Store(false)
+	t.Cleanup(func() { pb.down.Store(false) })
+	return pb
+}
 
-	out, err := http.NewRequest("GET", f.frontend.URL+query, nil)
+// stitchedGet sends stitchQuery through the router under the sampled
+// traceparent and checks the replica fan-out served it.
+func (f *fleet) stitchedGet(t *testing.T) {
+	t.Helper()
+	out, err := http.NewRequest("GET", f.frontend.URL+stitchQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +73,14 @@ func TestFleetTraceStitching(t *testing.T) {
 	if f.router.replicaReads.Load() == 0 {
 		t.Fatal("replica fan-out never engaged; the test is not exercising the multi-backend path")
 	}
+}
 
+// stitchedTrace polls /debug/fleet-traces for the single stitched
+// trace of stitchTraceID spanning the router and both backends.
+func (f *fleet) stitchedTrace(t *testing.T) FleetTrace {
+	t.Helper()
 	// The slower fan-out leg may still be finishing its backend-side
 	// trace when the client sees the first answer; poll briefly.
-	var stitched FleetTrace
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		fleet := f.fleetTraces(t, "?trace="+stitchTraceID)
@@ -83,14 +91,25 @@ func TestFleetTraceStitching(t *testing.T) {
 			t.Fatalf("scraped %v, want both backends", fleet.Scraped)
 		}
 		if len(fleet.Traces) == 1 && fleet.Traces[0].Processes == 3 {
-			stitched = fleet.Traces[0]
-			break
+			return fleet.Traces[0]
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no 3-process stitched trace for %s; last response: %+v", stitchTraceID, fleet)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestFleetTraceStitching is the end-to-end propagation test: one
+// sampled request enters the router, replica-read fan-out forwards it
+// to both owners, and /debug/fleet-traces must return a single stitched
+// trace whose hops span all three processes — router and both backends
+// — under the client's trace id.
+func TestFleetTraceStitching(t *testing.T) {
+	f := newFleet(t, 2, Config{})
+	f.downStitchPrimary(t)
+	f.stitchedGet(t)
+	stitched := f.stitchedTrace(t)
 
 	if stitched.TraceID != stitchTraceID {
 		t.Errorf("trace id = %s, want the client's %s", stitched.TraceID, stitchTraceID)
@@ -140,6 +159,44 @@ func TestFleetTraceStitching(t *testing.T) {
 	}
 	if stitched.DurationSeconds <= 0 || stitched.SlowestHopSeconds <= 0 {
 		t.Errorf("durations not populated: %+v", stitched)
+	}
+}
+
+// holdLeg is a router transport that holds the fan-out leg to one
+// backend until released.
+type holdLeg struct {
+	host    atomic.Value // string: the held backend's host
+	release chan struct{}
+	base    http.RoundTripper
+}
+
+func (h *holdLeg) RoundTrip(req *http.Request) (*http.Response, error) {
+	if host, _ := h.host.Load().(string); req.URL.Host == host && req.URL.Path == "/v1/searchtime" {
+		<-h.release
+	}
+	return h.base.RoundTrip(req)
+}
+
+// TestFleetTraceStitchingSlowLeg replays, deterministically, the
+// interleaving behind TestFleetTraceStitching's occasional failure: the
+// leg to the downed primary is held until the client has its answer
+// from the other owner. The router used to cancel the slower leg when
+// the client's request ended, so that owner never saw the request and
+// never recorded its hop. Legs now run to completion.
+func TestFleetTraceStitchingSlowLeg(t *testing.T) {
+	hold := &holdLeg{release: make(chan struct{}), base: http.DefaultTransport.(*http.Transport).Clone()}
+	f := newFleet(t, 2, Config{Client: &http.Client{Transport: hold, Timeout: 15 * time.Second}})
+	hold.host.Store(f.downStitchPrimary(t).base.Host)
+
+	f.stitchedGet(t)
+	close(hold.release)
+	stitched := f.stitchedTrace(t)
+	want := map[string]bool{routerProcess: true, f.backendName(0): true, f.backendName(1): true}
+	for _, hop := range stitched.Hops {
+		delete(want, hop.Process)
+	}
+	if len(want) > 0 {
+		t.Errorf("stitched trace missing hops: %v", want)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -499,11 +500,21 @@ func (r *Router) replicaRead(req *http.Request, key string) (*bufferedResponse, 
 		resp *bufferedResponse
 		err  error
 	}
+	// The first good answer is relayed at once, but every leg runs to
+	// completion, detached from the client's cancellation and bounded
+	// by the backend client's timeout. Cancelling the slower leg when
+	// the client's request ended meant that owner might never see the
+	// request: a traced read lost the owner's hop, and the owner's
+	// breaker was charged with a failure the router caused. Each leg's
+	// span opens before its goroutine starts, so the router's trace
+	// always shows both legs.
+	detached := context.WithoutCancel(req.Context())
 	results := make(chan result, len(owners))
 	for _, b := range owners {
 		b := b
+		ctx, span := startForward(detached, b)
 		go func() {
-			resp, err := r.forward(req, b, nil)
+			resp, err := r.send(ctx, span, req, b, nil)
 			results <- result{resp, err}
 		}()
 	}
@@ -525,9 +536,21 @@ func (r *Router) replicaRead(req *http.Request, key string) (*bufferedResponse, 
 // backend's root span stitches under the router's — the cross-process
 // propagation half of /debug/fleet-traces.
 func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedResponse, error) {
-	start := time.Now()
-	ctx, span := telemetry.StartSpan(req.Context(), "forward")
+	ctx, span := startForward(req.Context(), b)
+	return r.send(ctx, span, req, b, body)
+}
+
+// startForward opens the span of one attempt to b under ctx's trace.
+func startForward(ctx context.Context, b *backend) (context.Context, *telemetry.Span) {
+	ctx, span := telemetry.StartSpan(ctx, "forward")
 	span.SetStr("backend", b.name)
+	return ctx, span
+}
+
+// send performs the attempt whose span startForward opened, under ctx,
+// and ends the span.
+func (r *Router) send(ctx context.Context, span *telemetry.Span, req *http.Request, b *backend, body []byte) (*bufferedResponse, error) {
+	start := time.Now()
 	defer span.End()
 	fail := func(err error) (*bufferedResponse, error) {
 		span.SetStr("error", err.Error())
