@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-paper bench-check lint chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
+.PHONY: all build test race stress bench bench-paper bench-check lint chaos chaos-partition cluster-smoke obs-smoke fuzz repro data serve sweep clean
 
 all: build test
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Twenty race-detector runs of the packages where goroutines meet the
+# network or the disk: the sweep engine, the router fleet and gossip
+# membership. A flake that fails one run in a few dozen fails here.
+stress:
+	$(GO) test -race -count=20 -timeout 30m ./internal/sweep ./internal/cluster ./internal/membership
 
 # The layer benchmarks behind the allocation gate: telemetry (the
 # untraced request and traceparent propagation stay 0 allocs/op), the
