@@ -46,24 +46,43 @@ type Checkpoint struct {
 	UpdatedAt time.Time `json:"updated_at"`
 	Checksum  string    `json:"checksum"`
 
-	// encoded holds the compact JSON encoding of Cells[i] at index i
-	// when the job already made it; a nil or missing entry is encoded
-	// on write.
-	encoded []json.RawMessage
+	// encoded holds the encodings of Cells[i] at index i when the job
+	// already made them; a missing entry is encoded on write.
+	encoded []cellJSON
 }
 
-// checkpointJSON is Checkpoint's JSON layout field for field, with
-// each cell already encoded, so a flush reuses every cell's encoding
-// instead of marshalling all cells again. TestCheckpointFileBytesPinned
-// holds the two layouts to the same bytes.
+// cellJSON is one cell's two encodings: compact, as the checksum
+// hashes it, and indented as it sits in the checkpoint file.
+type cellJSON struct{ compact, indented []byte }
+
+// encodeCell encodes c for a checkpoint. A cell sits two levels deep
+// in the file, so its fields are indented three spaces and its closing
+// brace two, exactly as json.MarshalIndent lays out the whole file.
+func encodeCell(c Cell) (cellJSON, error) {
+	compact, err := json.Marshal(c)
+	if err != nil {
+		return cellJSON{}, err
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "  ", " "); err != nil {
+		return cellJSON{}, err
+	}
+	return cellJSON{compact, indented.Bytes()}, nil
+}
+
+// checkpointJSON is Checkpoint's JSON layout field for field with the
+// cells left out: Cells is null for a nil cell list and [] otherwise,
+// and marshal splices the encoded cells into that []. Only the header
+// is marshalled per flush; TestCheckpointFileBytesPinned holds the
+// result to Checkpoint's own encoding byte for byte.
 type checkpointJSON struct {
-	Version   int               `json:"version"`
-	ID        string            `json:"id"`
-	SpecHash  string            `json:"spec_hash"`
-	Spec      Spec              `json:"spec"`
-	Cells     []json.RawMessage `json:"cells"`
-	UpdatedAt time.Time         `json:"updated_at"`
-	Checksum  string            `json:"checksum"`
+	Version   int             `json:"version"`
+	ID        string          `json:"id"`
+	SpecHash  string          `json:"spec_hash"`
+	Spec      Spec            `json:"spec"`
+	Cells     json.RawMessage `json:"cells"`
+	UpdatedAt time.Time       `json:"updated_at"`
+	Checksum  string          `json:"checksum"`
 }
 
 // corruptError marks checkpoint bytes that cannot be trusted
@@ -94,42 +113,72 @@ func (cp Checkpoint) Verify() error {
 }
 
 // marshal returns the checkpoint's file bytes and the checksum of its
-// content. The canonical form (compact JSON, Checksum blank) is built
-// from the cells' encodings and hashed once; the sum is spliced into
-// its closing blank checksum and the result indented. Once cp.Checksum
-// holds sum, the bytes are exactly json.MarshalIndent(cp, "", " ") and
-// a newline, and sum is cp.checksum(). Home and replica files both
-// come from here, so a replica is the home file byte for byte.
+// content. The canonical form (compact JSON, Checksum blank) is the
+// header with each cell's compact encoding spliced in, hashed once;
+// the file is the stamped header, indented, with each cell's indented
+// encoding spliced in. Once cp.Checksum holds sum, the bytes are
+// exactly json.MarshalIndent(cp, "", " ") and a newline, and sum is
+// cp.checksum(). Home and replica files both come from here, so a
+// replica is the home file byte for byte.
 func (cp Checkpoint) marshal() ([]byte, string, error) {
-	w := checkpointJSON{Version: cp.Version, ID: cp.ID, SpecHash: cp.SpecHash, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt}
-	if cp.Cells != nil {
-		w.Cells = make([]json.RawMessage, len(cp.Cells))
-		for i := range cp.Cells {
-			if i < len(cp.encoded) && cp.encoded[i] != nil {
-				w.Cells[i] = cp.encoded[i]
-				continue
-			}
-			raw, err := json.Marshal(cp.Cells[i])
-			if err != nil {
+	compact := make([][]byte, len(cp.Cells))
+	indented := make([][]byte, len(cp.Cells))
+	for i, c := range cp.Cells {
+		enc := cellJSON{}
+		if i < len(cp.encoded) {
+			enc = cp.encoded[i]
+		}
+		if enc.compact == nil {
+			var err error
+			if enc, err = encodeCell(c); err != nil {
 				return nil, "", err
 			}
-			w.Cells[i] = raw
 		}
+		compact[i], indented[i] = enc.compact, enc.indented
 	}
-	canonical, err := json.Marshal(w)
+	h := checkpointJSON{Version: cp.Version, ID: cp.ID, SpecHash: cp.SpecHash, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt}
+	if cp.Cells != nil {
+		h.Cells = json.RawMessage("[]")
+	}
+	canonical, err := json.Marshal(h)
 	if err != nil {
 		return nil, "", err
 	}
-	sum := seal.Sum(canonical)
-	// Checksum is the last field, so the canonical form ends in `""}`.
-	stamped := append(canonical[:len(canonical)-len(`""}`)], `"`+sum+`"}`...)
-	var file bytes.Buffer
-	file.Grow(len(stamped) * 3 / 2)
-	if err := json.Indent(&file, stamped, "", " "); err != nil {
+	sum := seal.Sum(spliceCells(canonical, `"cells":[]`, "[", ",", "]", compact))
+	h.Checksum = sum
+	file, err := json.MarshalIndent(h, "", " ")
+	if err != nil {
 		return nil, "", err
 	}
-	file.WriteByte('\n')
-	return file.Bytes(), sum, nil
+	file = spliceCells(file, `"cells": []`, "[\n  ", ",\n  ", "\n ]", indented)
+	return append(file, '\n'), sum, nil
+}
+
+// spliceCells replaces the empty cell list marker names in doc with
+// cells, opened, separated and closed as json.Marshal or
+// json.MarshalIndent would. Only the cells field matches marker: no
+// other key is "cells", and every quote inside a JSON string is
+// escaped. An empty list stays [].
+func spliceCells(doc []byte, marker, open, sep, closing string, cells [][]byte) []byte {
+	if len(cells) == 0 {
+		return doc
+	}
+	at := bytes.LastIndex(doc, []byte(marker)) + len(marker) - len("[]")
+	size := len(doc) + len(open) + len(closing)
+	for _, c := range cells {
+		size += len(sep) + len(c)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, doc[:at]...)
+	out = append(out, open...)
+	for i, c := range cells {
+		if i > 0 {
+			out = append(out, sep...)
+		}
+		out = append(out, c...)
+	}
+	out = append(out, closing...)
+	return append(out, doc[at+len("[]"):]...)
 }
 
 // checkpointPath returns the checkpoint file for a job ID.

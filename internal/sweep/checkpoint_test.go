@@ -435,3 +435,20 @@ func TestCheckpointReadFaultInjection(t *testing.T) {
 		t.Errorf("state %s, error %q", st.State, st.Error)
 	}
 }
+
+// TestCheckpointSpliceIgnoresLookalikes: the writer splices cells into
+// the empty cell list of a marshalled header, so a spec whose strings
+// spell that field out, compact or indented, must not be mistaken for
+// it.
+func TestCheckpointSpliceIgnoresLookalikes(t *testing.T) {
+	spec := Spec{Name: `a","cells":[],"b": "cells": [] "cells":[]`, N: []int{3, 4}, F: []int{1}, XMax: 20}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	j := newJob(context.Background(), spec, nil)
+	j.record(okCell(1))
+	j.record(okCell(0))
+	assertPinnedWrite(t, "job snapshot", j.checkpoint())
+	assertPinnedWrite(t, "bare checkpoint", Checkpoint{ID: spec.JobID(), SpecHash: spec.Hash(), Spec: spec,
+		Cells: []Cell{okCell(1), okCell(0)}})
+}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -45,10 +44,10 @@ type Job struct {
 	mu      sync.Mutex
 	state   State
 	results map[int]Cell
-	// encoded caches each result's compact JSON encoding, made the
+	// encoded caches each result's checkpoint encodings, made the
 	// first time a checkpoint snapshot includes the cell. Recorded
-	// cells never change, so every flush reuses it.
-	encoded  map[int]json.RawMessage
+	// cells never change, so every flush reuses them.
+	encoded  map[int]cellJSON
 	resumed  int
 	started  time.Time
 	finished time.Time
@@ -70,7 +69,7 @@ func newJob(base context.Context, spec Spec, cp *Checkpoint) *Job {
 		done:     make(chan struct{}),
 		state:    StatePending,
 		results:  make(map[int]Cell),
-		encoded:  make(map[int]json.RawMessage),
+		encoded:  make(map[int]cellJSON),
 	}
 	if cp != nil {
 		for _, c := range cp.Cells {
@@ -275,24 +274,24 @@ func (j *Job) Dataset() (*trace.Dataset, error) {
 }
 
 // checkpoint snapshots the job for persistence: its cells in index
-// order, each with its cached encoding. A cell is encoded the first
+// order, each with its cached encodings. A cell is encoded the first
 // time a snapshot includes it; one that fails to encode stays
 // uncached, and the write reports the error.
 func (j *Job) checkpoint() Checkpoint {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	cells := j.sortedCellsLocked()
-	encoded := make([]json.RawMessage, len(cells))
+	encoded := make([]cellJSON, len(cells))
 	for i, c := range cells {
-		raw, ok := j.encoded[c.Index]
+		enc, ok := j.encoded[c.Index]
 		if !ok {
 			var err error
-			if raw, err = json.Marshal(c); err != nil {
+			if enc, err = encodeCell(c); err != nil {
 				continue
 			}
-			j.encoded[c.Index] = raw
+			j.encoded[c.Index] = enc
 		}
-		encoded[i] = raw
+		encoded[i] = enc
 	}
 	return Checkpoint{
 		ID:       j.id,
