@@ -399,13 +399,7 @@ func (m *Manager) runJob(j *Job) {
 	// off the next snapshot, so flush count, content, write order and
 	// OnCheckpoint order are those of an inline flush, while workers
 	// keep evaluating through the write.
-	var flushing chan struct{} // closed when the in-flight flush returns
-	waitFlush := func() {
-		if flushing != nil {
-			<-flushing
-			flushing = nil
-		}
-	}
+	var flushing sync.WaitGroup
 	sinceFlush := 0
 	for cell := range out {
 		if cell.cancelled {
@@ -422,16 +416,15 @@ func (m *Manager) runJob(j *Job) {
 		if sinceFlush >= m.cfg.CheckpointEvery {
 			sinceFlush = 0
 			cp := j.checkpoint()
-			waitFlush()
-			done := make(chan struct{})
-			flushing = done
+			flushing.Wait()
+			flushing.Add(1)
 			go func() {
-				defer close(done)
+				defer flushing.Done()
 				m.flush(j, cp)
 			}()
 		}
 	}
-	waitFlush()
+	flushing.Wait()
 	m.finalize(j, j.ctx.Err() != nil)
 }
 
