@@ -50,10 +50,12 @@ lint:
 
 # Fault-injection chaos suite under the race detector: 24 deterministic
 # schedules, the kill-and-resume torture test, and a randomized-seed
-# soak (seeds are logged, so failures replay deterministically).
+# soak (seeds are logged, so failures replay deterministically). Only
+# the sweep package defines -chaos.soak, so the soak has its own line.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|KillAndResume|FaultInjection|FaultPoint' \
-		./internal/sweep ./internal/faultpoint -chaos.soak=45s
+		./internal/sweep ./internal/faultpoint
+	$(GO) test -race -count=1 -run 'TestChaosSoak' ./internal/sweep -chaos.soak=45s
 
 # Partition chaos suite under the race detector: SWIM gossip under
 # split-brain and asymmetric link faults, replication hinted handoff

@@ -5,11 +5,18 @@
 // changes warm-transfer hot plan-cache entries so a reshaped fleet
 // serves its keys without recompiling them.
 //
+// Each backend has one availability state, its circuit breaker, fed
+// by proxied attempts and /healthz probes alike: -quarantine-votes
+// consecutive failures open it for -breaker-cooldown (or for a
+// backend's Retry-After), and a healthy probe closes it once that
+// window has lapsed. A request whose primary owner is unavailable goes
+// to the key's next ring owner first.
+//
 // Usage:
 //
 //	linerouter -backends http://127.0.0.1:8081,http://127.0.0.1:8082 \
 //	           [-addr :8090] [-attempts 3] [-vnodes 160] \
-//	           [-health-interval 2s] [-quarantine-votes 3] \
+//	           [-health-interval 2s] [-quarantine-votes 3] [-breaker-cooldown 2s] \
 //	           [-slow-threshold 0] [-warm-keys 64] [-log text|json] [-quiet] \
 //	           [-trace-sample 1] [-trace-buffer 256] [-debug-addr ""] \
 //	           [-slo-objective 0.99] [-slo-latency-budget 250ms] \
@@ -24,7 +31,7 @@
 //	PUT /admin/topology      {"backends": [...]} — replace the fleet and warm-transfer hot keys
 //	GET /debug/traces        the router's own sampled traces
 //	GET /debug/fleet-traces  cross-process stitched traces (scrapes every backend's ring)
-//	GET /debug/events        structured event journal (breaker, quarantine, topology)
+//	GET /debug/events        structured event journal (breaker, topology)
 //	POST /gossip             membership exchange (only with -join)
 //
 // With -debug-addr set, a second listener (keep it loopback-only)
@@ -84,8 +91,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	attempts := fs.Int("attempts", 3, "attempts per retryable request, first included")
 	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the hash ring")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "backend health probe cadence (negative disables)")
-	quarantineVotes := fs.Int("quarantine-votes", 3, "consecutive failed health votes that quarantine a backend")
-	slowThreshold := fs.Duration("slow-threshold", 0, "mean proxied latency per probe window that draws a failed vote (0 disables)")
+	quarantineVotes := fs.Int("quarantine-votes", 3, "consecutive failures (failed health probes and proxied attempts alike) that open a backend's circuit breaker")
+	slowThreshold := fs.Duration("slow-threshold", 0, "mean proxied latency per probe window that fails the health probe (0 disables)")
 	warmKeys := fs.Int("warm-keys", 64, "hot plan-cache entries transferred per donor on topology change (negative disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "circuit-breaker open duration after consecutive failures")
 	logFormat := fs.String("log", "text", "log format: text or json")

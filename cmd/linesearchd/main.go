@@ -28,7 +28,7 @@
 //	GET  /healthz
 //	GET  /metrics                  Prometheus text exposition (the only format)
 //	GET  /debug/traces             recent/slowest sampled request traces
-//	GET  /debug/events             structured event journal (membership, breaker, hints, quarantine)
+//	GET  /debug/events             structured event journal (membership, breaker, hints, cell quarantine)
 //
 // With -join set, the daemon gossips SWIM-style membership with its
 // peers (POST /gossip), streams every fsynced sweep checkpoint to the

@@ -11,11 +11,12 @@ import (
 )
 
 // backend is one linesearchd process behind the router: its base URL,
-// circuit breaker, health-vote state and telemetry. The latency
-// histogram feeds three consumers: the router's /metrics exposition,
-// the loadgen percentile read-back, and the health checker's slow-vote
-// rule (a shard whose mean latency over a probe window exceeds the
-// threshold draws a failed vote exactly like a failed probe — the
+// circuit breaker and telemetry. The breaker is the backend's one
+// availability state; proxied attempts and health probes both feed it.
+// The latency histogram feeds three consumers: the router's /metrics
+// exposition, the loadgen percentile read-back, and the health
+// checker's slow rule (a shard whose mean latency over a probe window
+// exceeds the threshold fails the probe exactly like a dead one — the
 // paper's silent-fault robot, slow enough to be useless, is treated as
 // faulty).
 type backend struct {
@@ -25,18 +26,13 @@ type backend struct {
 	breaker *breaker
 	hist    *telemetry.Histogram
 
-	requests atomic.Int64 // proxied attempts sent to this backend
-	failures atomic.Int64 // attempts that failed (transport error or retryable status)
+	requests   atomic.Int64 // proxied attempts sent to this backend
+	failures   atomic.Int64 // attempts that failed (transport error or retryable status)
+	probeFails atomic.Int64 // lifetime failed probes
 
-	// Health-vote state, owned by the health loop.
-	down        atomic.Bool
-	votes       atomic.Int32 // consecutive failed health votes
-	probeFails  atomic.Int64 // lifetime failed probes
-	quarantines atomic.Int64 // lifetime down transitions
-
-	// Last histogram reading the slow-vote rule diffed against.
-	lastCount int64
-	lastSum   float64
+	// The histogram at the last probe, where the slow rule's window
+	// starts. Owned by the health loop.
+	window telemetry.HistogramSnapshot
 }
 
 // newBackend parses a base URL into a backend. Only the scheme and
@@ -57,10 +53,4 @@ func newBackend(raw string, threshold int, cooldown time.Duration, jrnl *journal
 		breaker: newBreaker(threshold, cooldown, u.Host, jrnl),
 		hist:    telemetry.NewHistogram(),
 	}, nil
-}
-
-// available reports whether the router should prefer this backend:
-// not quarantined by health voting and not rejected by the breaker.
-func (b *backend) available(now time.Time) bool {
-	return !b.down.Load() && b.breaker.allow(now)
 }

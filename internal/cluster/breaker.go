@@ -20,9 +20,15 @@ import (
 // the first failure re-opens it for a full cooldown (the consecutive
 // count is already at the threshold).
 //
+// The breaker is the backend's only availability state. Proxied
+// attempts and /healthz probes feed it alike: a failed probe is one
+// more consecutive failure, and a healthy probe closes the breaker once
+// its open window has lapsed (probeSuccess), never sooner — a probe
+// must not cut short a Retry-After the backend asked for.
+//
 // State transitions (open, half-open probe, close) are recorded in the
 // journal under the backend's name so an operator can line up "breaker
-// opened" against the membership and quarantine events around it.
+// opened" against the membership events around it.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -70,22 +76,37 @@ func (b *breaker) allow(now time.Time) bool {
 
 // success records a request the backend answered healthily and closes
 // the breaker.
-func (b *breaker) success() {
+func (b *breaker) success() { b.close(time.Time{}, "half-open probe succeeded") }
+
+// probeSuccess records a healthy health probe at now. It closes the
+// breaker only once the open window has lapsed.
+func (b *breaker) probeSuccess(now time.Time) { b.close(now, "healthy probe") }
+
+// close resets the consecutive count and closes the breaker. A nonzero
+// now leaves a window still open at now as it is; the check and the
+// close share one critical section, so a window a concurrent failure
+// opens is never closed early.
+func (b *breaker) close(now time.Time, detail string) {
 	b.mu.Lock()
+	if !now.IsZero() && now.Before(b.openUntil) {
+		b.mu.Unlock()
+		return
+	}
 	wasOpen := !b.openUntil.IsZero()
 	b.failures = 0
 	b.openUntil = time.Time{}
 	b.halfOpenLogged = false
 	b.mu.Unlock()
 	if wasOpen {
-		b.jrnl.Record(context.Background(), journal.BreakerClose, b.name, "half-open probe succeeded")
+		b.jrnl.Record(context.Background(), journal.BreakerClose, b.name, detail)
 	}
 }
 
 // failure records a failed request. retryAfter > 0 (a parsed
 // Retry-After header) opens the breaker for exactly that long — the
 // backend told us when to come back; otherwise consecutive failures
-// reaching the threshold open it for the cooldown.
+// reaching the threshold open it for the cooldown, extending but never
+// shortening a window already open.
 func (b *breaker) failure(now time.Time, retryAfter time.Duration) {
 	b.mu.Lock()
 	wasOpen := !b.openUntil.IsZero() && now.Before(b.openUntil)
@@ -96,7 +117,7 @@ func (b *breaker) failure(now time.Time, retryAfter time.Duration) {
 		b.openUntil = now.Add(retryAfter)
 		b.halfOpenLogged = false
 		detail = fmt.Sprintf("retry-after %s", retryAfter)
-	case b.failures >= b.threshold:
+	case b.failures >= b.threshold && now.Add(b.cooldown).After(b.openUntil):
 		b.openUntil = now.Add(b.cooldown)
 		b.halfOpenLogged = false
 		detail = fmt.Sprintf("%d consecutive failures", b.failures)

@@ -47,6 +47,11 @@ func TestBreakerRetryAfter(t *testing.T) {
 	b := newBreaker(3, time.Second, "b:1", nil)
 	now := time.Unix(1000, 0)
 	b.failure(now, 5*time.Second)
+	// Threshold failures inside the window extend it but never cut it
+	// short: their 1s cooldown ends before the Retry-After does.
+	for i := 0; i < 3; i++ {
+		b.failure(now.Add(time.Second), 0)
+	}
 	if b.allow(now.Add(4 * time.Second)) {
 		t.Fatal("breaker ignored Retry-After")
 	}

@@ -125,12 +125,15 @@ func TestPartitionKillHomeMidSweepZeroLoss(t *testing.T) {
 		n.rep.SetMembers(urls)
 	}
 
-	// QuarantineVotes 1: one failed probe marks a dead backend down,
-	// standing in for the health loop having noticed the corpse.
+	// QuarantineVotes 1: one failed probe opens a dead backend's
+	// breaker, standing in for the health loop having noticed the
+	// corpse; the long cooldown stands in for its repeated failed
+	// probes while the test runs.
 	router, err := New(Config{
 		Backends:        urls,
 		HealthInterval:  -1,
 		QuarantineVotes: 1,
+		BreakerCooldown: time.Hour,
 		Logger:          quiet,
 	})
 	if err != nil {
@@ -195,7 +198,7 @@ func TestPartitionKillHomeMidSweepZeroLoss(t *testing.T) {
 	}
 
 	home.srv.Close()
-	router.ProbeAll() // one failed vote quarantines the corpse
+	router.ProbeAll() // one failed probe opens the corpse's breaker
 
 	// The resubmission routes to the next owner on the sweeps walk —
 	// the replica owner — which recovers the checkpoint from its
@@ -421,7 +424,7 @@ func TestPartitionAsymmetricReplication(t *testing.T) {
 	}
 }
 
-// TestPartitionRollingByteIdentity quarantines each backend in turn
+// TestPartitionRollingByteIdentity takes each backend down in turn
 // and drives the full query mix through the router every time: a
 // degraded fleet must answer byte for byte what a healthy single
 // process answers, for every query, at every stage of the roll.
@@ -454,7 +457,7 @@ func TestPartitionRollingByteIdentity(t *testing.T) {
 		f.router.mu.RLock()
 		b := f.router.backends[name]
 		f.router.mu.RUnlock()
-		b.down.Store(true)
+		openBreaker(b, true)
 		faultpoint.Arm(fpForward+"."+name, faultpoint.Rule{})
 
 		for _, q := range queries {
@@ -469,6 +472,6 @@ func TestPartitionRollingByteIdentity(t *testing.T) {
 		}
 
 		faultpoint.Reset()
-		b.down.Store(false)
+		openBreaker(b, false)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -117,8 +118,8 @@ type fleetTracesResponse struct {
 // traceparent reached.
 //
 //	GET /debug/fleet-traces?n=20            the n most recent stitched traces
-//	GET /debug/fleet-traces?trace=<id>      one trace id only
-//	GET /debug/fleet-traces?scrape_n=64     per-process ring depth to fetch
+//	GET /debug/fleet-traces?trace=<id>      one trace id, searched in every process's whole ring
+//	GET /debug/fleet-traces?scrape_n=64     per-process ring depth to fetch (without trace)
 func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	n := 20
@@ -140,6 +141,11 @@ func (r *Router) handleFleetTraces(w http.ResponseWriter, req *http.Request) {
 		scrapeN = v
 	}
 	wantID := q.Get("trace")
+	if wantID != "" {
+		// A lookup by id reads each ring whole: the hops of an old
+		// trace lie beyond any window of recent ones.
+		scrapeN = math.MaxInt32
+	}
 
 	r.mu.RLock()
 	backends := make([]*backend, 0, len(r.backends))

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"linesearch/internal/faultpoint"
 )
 
 // sampledTraceparent is a fixed, sampled W3C header; its trace id is
@@ -33,30 +33,18 @@ func (f *fleet) fleetTraces(t *testing.T, query string) fleetTracesResponse {
 	return resp
 }
 
-// stitchQuery is the pure read the stitching tests fan out.
+// stitchQuery is the pure read the stitching tests send.
 const stitchQuery = "/v1/searchtime?n=4&f=2&x=3.5"
 
-// downStitchPrimary marks the primary owner of stitchQuery down, so
-// the read fans out, but leaves its link intact: both owners serve
-// the forwarded request, so both backends record a hop for the trace.
-// It returns the primary and restores it at cleanup.
-func (f *fleet) downStitchPrimary(t *testing.T) *backend {
-	t.Helper()
-	req := httptest.NewRequest("GET", stitchQuery, nil)
-	key, _ := routingPolicy(req)
-	f.router.mu.RLock()
-	primary := f.router.ring.Owner(key)
-	pb := f.router.backends[primary]
-	f.router.mu.RUnlock()
-	pb.down.Store(true)
-	t.Cleanup(func() { pb.down.Store(false) })
-	return pb
-}
-
 // stitchedGet sends stitchQuery through the router under the sampled
-// traceparent and checks the replica fan-out served it.
+// traceparent with the service's evaluation armed to fail once: the
+// key's primary owner records its hop and answers 503, and the ring
+// walk fails over to the second owner, which records its hop and
+// answers. Both backends then hold a hop of the trace.
 func (f *fleet) stitchedGet(t *testing.T) {
 	t.Helper()
+	t.Cleanup(faultpoint.Reset)
+	faultpoint.Arm("service.eval", faultpoint.Rule{Times: 1})
 	out, err := http.NewRequest("GET", f.frontend.URL+stitchQuery, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +58,8 @@ func (f *fleet) stitchedGet(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traced GET: status %d", resp.StatusCode)
 	}
-	if f.router.replicaReads.Load() == 0 {
-		t.Fatal("replica fan-out never engaged; the test is not exercising the multi-backend path")
+	if f.router.Stats().Retries == 0 {
+		t.Fatal("the request never failed over; the test is not exercising the multi-backend path")
 	}
 }
 
@@ -79,8 +67,8 @@ func (f *fleet) stitchedGet(t *testing.T) {
 // trace of stitchTraceID spanning the router and both backends.
 func (f *fleet) stitchedTrace(t *testing.T) FleetTrace {
 	t.Helper()
-	// The slower fan-out leg may still be finishing its backend-side
-	// trace when the client sees the first answer; poll briefly.
+	// A backend's hop lands in its ring when its root span ends, which
+	// may be just after the router relayed the answer; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		fleet := f.fleetTraces(t, "?trace="+stitchTraceID)
@@ -101,13 +89,12 @@ func (f *fleet) stitchedTrace(t *testing.T) FleetTrace {
 }
 
 // TestFleetTraceStitching is the end-to-end propagation test: one
-// sampled request enters the router, replica-read fan-out forwards it
-// to both owners, and /debug/fleet-traces must return a single stitched
-// trace whose hops span all three processes — router and both backends
-// — under the client's trace id.
+// sampled request enters the router, fails on its primary owner and
+// fails over to the second, and /debug/fleet-traces must return a
+// single stitched trace whose hops span all three processes — router
+// and both backends — under the client's trace id.
 func TestFleetTraceStitching(t *testing.T) {
 	f := newFleet(t, 2, Config{})
-	f.downStitchPrimary(t)
 	f.stitchedGet(t)
 	stitched := f.stitchedTrace(t)
 
@@ -131,26 +118,22 @@ func TestFleetTraceStitching(t *testing.T) {
 		t.Errorf("stitched trace missing hops: %v", wantHops)
 	}
 
-	// The router hop's tree must show the fan-out: a replica-read span
-	// with one forward child per owner.
+	// The router hop's tree must show the failover: one forward span
+	// per owner.
 	router := stitched.Hops[0]
-	var fanout int
-	var sawReplicaRead bool
+	forwards := map[any]int{}
 	var walk func(s SpanJSON)
 	walk = func(s SpanJSON) {
-		switch s.Name {
-		case "replica-read":
-			sawReplicaRead = true
-		case "forward":
-			fanout++
+		if s.Name == "forward" {
+			forwards[s.Attrs["backend"]]++
 		}
 		for _, c := range s.Children {
 			walk(c)
 		}
 	}
 	walk(toSpanJSON(t, router.Trace.Root))
-	if !sawReplicaRead || fanout != 2 {
-		t.Errorf("router hop tree: replica-read=%v forwards=%d, want the 2-owner fan-out", sawReplicaRead, fanout)
+	if len(forwards) != 2 || forwards[f.backendName(0)] != 1 || forwards[f.backendName(1)] != 1 {
+		t.Errorf("router hop tree: forwards by backend %v, want one to each owner", forwards)
 	}
 
 	// Hop attribution: the wall clock went to a backend, not the router.
@@ -162,49 +145,28 @@ func TestFleetTraceStitching(t *testing.T) {
 	}
 }
 
-// holdLeg is a router transport that holds the fan-out leg to one
-// backend until released.
-type holdLeg struct {
-	host    atomic.Value // string: the held backend's host
-	release chan struct{}
-	base    http.RoundTripper
-}
-
-func (h *holdLeg) RoundTrip(req *http.Request) (*http.Response, error) {
-	if host, _ := h.host.Load().(string); req.URL.Host == host && req.URL.Path == "/v1/searchtime" {
-		<-h.release
-	}
-	return h.base.RoundTrip(req)
-}
-
-// TestFleetTraceStitchingSlowLeg replays, deterministically, the
-// interleaving behind TestFleetTraceStitching's occasional failure: the
-// leg to the downed primary is held until the client has its answer
-// from the other owner. The router used to cancel the slower leg when
-// the client's request ended, so that owner never saw the request and
-// never recorded its hop. Legs now run to completion.
-func TestFleetTraceStitchingSlowLeg(t *testing.T) {
-	hold := &holdLeg{release: make(chan struct{}), base: http.DefaultTransport.(*http.Transport).Clone()}
-	f := newFleet(t, 2, Config{Client: &http.Client{Transport: hold, Timeout: 15 * time.Second}})
-	hold.host.Store(f.downStitchPrimary(t).base.Host)
-
+// TestFleetTraceLookupFindsOldHops pins that a lookup by trace id
+// reads each process's whole ring: a stitched trace followed by more
+// newer traces on one backend than a recent-traces window holds must
+// still come back with all three hops.
+func TestFleetTraceLookupFindsOldHops(t *testing.T) {
+	f := newFleet(t, 2, Config{})
 	f.stitchedGet(t)
-	close(hold.release)
-	stitched := f.stitchedTrace(t)
-	want := map[string]bool{routerProcess: true, f.backendName(0): true, f.backendName(1): true}
-	for _, hop := range stitched.Hops {
-		delete(want, hop.Process)
+	f.stitchedTrace(t)
+	for i := 0; i < 65; i++ {
+		if code, body := f.get(t, stitchQuery); code != http.StatusOK {
+			t.Fatalf("traced GET %d: status %d: %s", i, code, body)
+		}
 	}
-	if len(want) > 0 {
-		t.Errorf("stitched trace missing hops: %v", want)
-	}
+	f.stitchedTrace(t)
 }
 
 // SpanJSON re-decodes a span snapshot through its wire format, so the
 // test walks exactly what an operator's jq would see.
 type SpanJSON struct {
-	Name     string     `json:"name"`
-	Children []SpanJSON `json:"children"`
+	Name     string         `json:"name"`
+	Attrs    map[string]any `json:"attrs"`
+	Children []SpanJSON     `json:"children"`
 }
 
 func toSpanJSON(t *testing.T, v any) SpanJSON {

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
-
-	"linesearch/internal/telemetry/journal"
 )
 
 // healthLoop probes every backend on the configured cadence until
@@ -36,45 +33,35 @@ func (r *Router) ProbeAll() {
 	}
 	r.mu.RUnlock()
 	for _, b := range backends {
-		r.probe(b)
+		r.probe(b, r.probeOnce(b), time.Now())
 	}
 }
 
-// probe casts one health vote for b. A vote fails when the /healthz
-// probe fails, or when the slow-vote rule trips: the backend's mean
-// proxied latency since the last round exceeded SlowThreshold. The
-// paper's faulty robot never announces itself — it just stops helping
-// — so a shard slow enough to be useless draws the same vote a dead
-// one does. Only QuarantineVotes consecutive failed votes quarantine
-// the backend (the quorum-style detection rule); any healthy vote
-// resets the count and lifts the quarantine.
-func (r *Router) probe(b *backend) {
-	ok := r.probeOnce(b)
-	if ok && r.cfg.SlowThreshold > 0 {
+// probe feeds one health probe of b, answered at now, into b's
+// breaker. The probe fails when /healthz did not answer 200, or when
+// the slow rule trips: the backend's mean proxied latency since the
+// last round exceeded SlowThreshold. The paper's faulty robot never
+// announces itself — it just stops helping — so a shard slow enough to
+// be useless fails the probe the way a dead one does. A failed probe is
+// one more consecutive breaker failure, so QuarantineVotes failed
+// probes in a row open the breaker. A healthy probe closes it only
+// once its open window has lapsed.
+func (r *Router) probe(b *backend, healthy bool, now time.Time) {
+	if healthy && r.cfg.SlowThreshold > 0 {
 		snap := b.hist.Snapshot()
-		dc := snap.Count - b.lastCount
-		ds := snap.Sum - b.lastSum
-		b.lastCount, b.lastSum = snap.Count, snap.Sum
+		dc := snap.Count - b.window.Count
+		ds := snap.Sum - b.window.Sum
+		b.window = snap
 		if dc > 0 && time.Duration(ds/float64(dc)*float64(time.Second)) > r.cfg.SlowThreshold {
-			ok = false
+			healthy = false
 		}
 	}
-	if ok {
-		if b.down.Swap(false) {
-			r.logger.Info("backend recovered", "backend", b.name)
-			r.journal.Record(context.Background(), journal.QuarantineExit, b.name, "healthy vote")
-		}
-		b.votes.Store(0)
+	if healthy {
+		b.breaker.probeSuccess(now)
 		return
 	}
 	b.probeFails.Add(1)
-	if int(b.votes.Add(1)) >= r.cfg.QuarantineVotes && !b.down.Swap(true) {
-		b.quarantines.Add(1)
-		r.logger.Warn("backend quarantined",
-			"backend", b.name, "votes", b.votes.Load())
-		r.journal.Record(context.Background(), journal.QuarantineEnter, b.name,
-			fmt.Sprintf("%d failed votes", b.votes.Load()))
-	}
+	b.breaker.failure(now, 0)
 }
 
 // probeOnce issues one GET /healthz against b.

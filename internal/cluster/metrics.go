@@ -14,28 +14,23 @@ import (
 type BackendStats struct {
 	Name        string
 	Available   bool
-	Quarantined bool
 	BreakerOpen bool
 	Requests    int64
 	Failures    int64
 	ProbeFails  int64
-	Quarantines int64
 	Latency     telemetry.HistogramSnapshot
 }
 
 // Stats is the router's metrics snapshot; writePrometheus renders it
 // for GET /metrics.
 type Stats struct {
-	Backends []BackendStats
-	Proxied  int64
-	Retries  int64
-	// ReplicaReads counts pure reads fanned out to the key's owner
-	// pair because the primary was unavailable.
-	ReplicaReads int64
-	ProxyErrors  int64
-	WarmRuns     int64
-	WarmKeys     int64
-	WarmErrors   int64
+	Backends    []BackendStats
+	Proxied     int64
+	Retries     int64
+	ProxyErrors int64
+	WarmRuns    int64
+	WarmKeys    int64
+	WarmErrors  int64
 	// SLO is the multi-window burn-rate reading over routed requests.
 	SLO SLOStats
 	// JournalEvents counts recorded events per kind — every kind is
@@ -61,7 +56,6 @@ func (r *Router) Stats() Stats {
 		Backends:      make([]BackendStats, 0, len(backends)),
 		Proxied:       r.proxied.Load(),
 		Retries:       r.retries.Load(),
-		ReplicaReads:  r.replicaReads.Load(),
 		ProxyErrors:   r.proxyErrs.Load(),
 		WarmRuns:      r.warmRuns.Load(),
 		WarmKeys:      r.warmKeys.Load(),
@@ -73,13 +67,11 @@ func (r *Router) Stats() Stats {
 	for _, b := range backends {
 		st.Backends = append(st.Backends, BackendStats{
 			Name:        b.name,
-			Available:   b.available(now),
-			Quarantined: b.down.Load(),
+			Available:   b.breaker.allow(now),
 			BreakerOpen: b.breaker.open(now),
 			Requests:    b.requests.Load(),
 			Failures:    b.failures.Load(),
 			ProbeFails:  b.probeFails.Load(),
-			Quarantines: b.quarantines.Load(),
 			Latency:     b.hist.Snapshot(),
 		})
 	}
@@ -153,7 +145,6 @@ func writePrometheus(w io.Writer, st Stats) error {
 
 	p.Counter("linerouter_proxied_requests_total", "Client requests entering the proxy.", st.Proxied)
 	p.Counter("linerouter_retries_total", "Extra proxy attempts beyond the first.", st.Retries)
-	p.Counter("linerouter_replica_fanout_reads_total", "Pure reads fanned out to the owner pair because the primary was unavailable.", st.ReplicaReads)
 	p.Counter("linerouter_proxy_errors_total", "Requests that exhausted every attempt.", st.ProxyErrors)
 	p.Counter("linerouter_warm_transfer_runs_total", "Warm-transfer rounds triggered by topology changes.", st.WarmRuns)
 	p.Counter("linerouter_warm_transfer_keys_total", "Plan-cache entries moved by warm transfers.", st.WarmKeys)
@@ -178,8 +169,6 @@ func writePrometheus(w io.Writer, st Stats) error {
 
 	p.Journal("linerouter", st.JournalEvents)
 	p.Tracer("linerouter", st.Tracer)
-	p.Counter("linerouter_tracer_dropped_traces_total", "Completed traces evicted from the ring before being read.", st.Tracer.Evicted)
-	p.Counter("linerouter_tracer_truncated_traces_total", "Traces that completed with at least one span refused by the per-trace cap.", st.Tracer.TruncatedTraces)
 
 	perBackend := func(name, typ, help string, value func(BackendStats) int64) {
 		p.Family(name, typ, help)
@@ -193,10 +182,6 @@ func writePrometheus(w io.Writer, st Stats) error {
 		func(b BackendStats) int64 { return b.Requests })
 	perBackend("linerouter_backend_failures_total", "counter", "Failed attempts, by backend.",
 		func(b BackendStats) int64 { return b.Failures })
-	perBackend("linerouter_backend_quarantines_total", "counter", "Health-vote quarantine transitions, by backend.",
-		func(b BackendStats) int64 { return b.Quarantines })
-	perBackend("linerouter_backend_quarantined", "gauge", "Backend currently quarantined by failed health votes (1 = quarantined).",
-		func(b BackendStats) int64 { return boolGauge(b.Quarantined) })
 	perBackend("linerouter_backend_breaker_open", "gauge", "Backend circuit breaker open (1 = open).",
 		func(b BackendStats) int64 { return boolGauge(b.BreakerOpen) })
 	perBackend("linerouter_backend_probe_failures_total", "counter", "Failed health probes, by backend.",

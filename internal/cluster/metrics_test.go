@@ -36,20 +36,19 @@ func goldenStats() Stats {
 	}
 	counts := (*journal.Journal)(nil).Counts()
 	counts["breaker_open"] = 3
-	counts["quarantine_enter"] = 2
 	counts["topology_change"] = 1
 	return Stats{
 		Backends: []BackendStats{
 			{
-				Name: "127.0.0.1:8081", Available: true, Quarantined: true, BreakerOpen: true,
-				Requests: 140, Failures: 4, ProbeFails: 6, Quarantines: 2, Latency: latency(20, 0.84),
+				Name: "127.0.0.1:8081", Available: true, BreakerOpen: true,
+				Requests: 140, Failures: 4, ProbeFails: 6, Latency: latency(20, 0.84),
 			},
 			{
-				Name: "127.0.0.1:8082", Available: true, Quarantined: true, BreakerOpen: true,
-				Requests: 70, Failures: 1, ProbeFails: 3, Quarantines: 1, Latency: latency(10, 0.42),
+				Name: "127.0.0.1:8082", Available: true, BreakerOpen: true,
+				Requests: 70, Failures: 1, ProbeFails: 3, Latency: latency(10, 0.42),
 			},
 		},
-		Proxied: 200, Retries: 9, ReplicaReads: 5, ProxyErrors: 2,
+		Proxied: 200, Retries: 9, ProxyErrors: 2,
 		WarmRuns: 3, WarmKeys: 15, WarmErrors: 1,
 		SLO: SLOStats{
 			Objective:            0.99,

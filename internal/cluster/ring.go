@@ -7,11 +7,13 @@
 //
 // The design carries the paper's framing from robots to replicas: the
 // fleet must keep answering while up to f backends are crashed or
-// slow. Health probes use a quorum-style voting rule (a backend is
-// quarantined only after a configurable number of consecutive failed
-// votes, the detection rule of the Byzantine follow-up work), and the
-// per-backend circuit breaker is fed by the same telemetry histograms
-// the metrics surface exports.
+// slow. Each backend has one availability state, its circuit breaker:
+// proxied attempts and health probes feed it alike, it opens only after
+// a configurable number of consecutive failures (the quorum-style
+// detection rule of the Byzantine follow-up work), and the probes' slow
+// rule reads the same telemetry histograms the metrics surface exports.
+// A request whose primary owner is unavailable goes to the key's next
+// ring owner: one failover path.
 package cluster
 
 import (

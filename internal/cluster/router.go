@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,27 +48,26 @@ type Config struct {
 	Attempts int
 	// MaxRetryAfter caps how long an honored Retry-After header may
 	// cool a backend down (default 5s) — a confused shard must not
-	// quarantine itself for an hour.
+	// take itself out for an hour.
 	MaxRetryAfter time.Duration
 	// RetryBackoff is the base sleep before re-trying the same backend
 	// (failover to a different backend is immediate); doubled per
 	// attempt (default 25ms).
 	RetryBackoff time.Duration
-	// FailureThreshold and BreakerCooldown tune the per-backend
-	// circuit breaker (defaults 3 and 2s).
-	FailureThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long the per-backend circuit breaker stays
+	// open after QuarantineVotes consecutive failures (default 2s).
+	BreakerCooldown time.Duration
 	// HealthInterval is the probe cadence (default 2s; negative
 	// disables the background loop — tests drive ProbeAll directly).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (default 1s).
 	HealthTimeout time.Duration
-	// QuarantineVotes is how many consecutive failed health votes
-	// quarantine a backend (default 3): the quorum-style detection rule
-	// — one flaky probe is not a crash.
+	// QuarantineVotes is how many consecutive failures — failed health
+	// probes and failed proxied attempts alike — open a backend's
+	// circuit breaker (default 3): one flaky probe is not a crash.
 	QuarantineVotes int
-	// SlowThreshold quarantine-votes a backend whose mean proxied
-	// latency over a probe window exceeds it (0 disables): the
+	// SlowThreshold fails the health probe of a backend whose mean
+	// proxied latency over a probe window exceeds it (0 disables): the
 	// histogram-fed rule that treats a uselessly slow shard as faulty.
 	SlowThreshold time.Duration
 	// WarmKeys is how many hot plan-cache entries a topology change
@@ -87,7 +85,7 @@ type Config struct {
 	// When nil, New creates one tracing every request with telemetry
 	// defaults; pass a configured tracer to set the rate and buffer.
 	Tracer *telemetry.Tracer
-	// Journal records breaker, quarantine and topology transitions for
+	// Journal records breaker and topology transitions for
 	// GET /debug/events. When nil, New creates one with journal
 	// defaults.
 	Journal *journal.Journal
@@ -116,13 +114,12 @@ type Router struct {
 
 	rr atomic.Uint64 // rotation for keyless routes
 
-	proxied      atomic.Int64
-	retries      atomic.Int64
-	replicaReads atomic.Int64
-	proxyErrs    atomic.Int64
-	warmRuns     atomic.Int64
-	warmKeys     atomic.Int64
-	warmErrors   atomic.Int64
+	proxied    atomic.Int64
+	retries    atomic.Int64
+	proxyErrs  atomic.Int64
+	warmRuns   atomic.Int64
+	warmKeys   atomic.Int64
+	warmErrors atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -183,7 +180,7 @@ func New(cfg Config) (*Router, error) {
 		stop:     make(chan struct{}),
 	}
 	for _, raw := range cfg.Backends {
-		b, err := newBackend(raw, cfg.FailureThreshold, cfg.BreakerCooldown, cfg.Journal)
+		b, err := newBackend(raw, cfg.QuarantineVotes, cfg.BreakerCooldown, cfg.Journal)
 		if err != nil {
 			return nil, err
 		}
@@ -297,8 +294,8 @@ func planKeyFromQuery(v url.Values) service.PlanKey {
 
 // candidates returns the backends to try for key in preference order:
 // the ring's owner walk (or a rotation for keyless routes), available
-// backends first. Quarantined or breaker-open backends stay in the
-// list as a last resort — when every shard looks down, trying one
+// backends first. Breaker-open backends stay in the list as a last
+// resort — when every shard looks down, trying one
 // beats failing without trying.
 func (r *Router) candidates(key string) []*backend {
 	r.mu.RLock()
@@ -324,7 +321,7 @@ func (r *Router) candidates(key string) []*backend {
 	avail := make([]*backend, 0, len(out))
 	rest := make([]*backend, 0, 2)
 	for _, b := range out {
-		if b.available(now) {
+		if b.breaker.allow(now) {
 			avail = append(avail, b)
 		} else {
 			rest = append(rest, b)
@@ -404,13 +401,6 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	if replicaReadable(req) && key != "" {
-		if resp, ok := r.replicaRead(req, key); ok {
-			relay(w, resp)
-			return
-		}
-	}
-
 	var lastResp *bufferedResponse
 	var lastErr error
 	var prev *backend
@@ -455,80 +445,6 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		fmt.Sprintf("all %d attempt(s) failed: %v", attempts, lastErr))
 }
 
-// replicaReadable reports whether a request may be served by any plan
-// owner rather than only the primary: a side-effect-free GET whose
-// response is a pure function of the query (the plan construction is
-// deterministic, so every owner answers byte-identically). Timelines
-// and plans qualify too, but searchtime reads dominate the read path.
-func replicaReadable(req *http.Request) bool {
-	if req.Method != http.MethodGet {
-		return false
-	}
-	p := req.URL.Path
-	return p == "/v1/searchtime" || p == "/v1/searchtimes"
-}
-
-// replicaRead fans a pure read out to the key's first two ring owners
-// when the primary is unavailable (breaker open, quarantined by health
-// voting or by the slow-vote rule), first good answer wins. Returns
-// (nil, false) when the primary is healthy or no second owner exists —
-// the normal sequential path handles it. Determinism makes this safe:
-// every owner computes the identical bytes, so racing them changes
-// latency, never content.
-func (r *Router) replicaRead(req *http.Request, key string) (*bufferedResponse, bool) {
-	r.mu.RLock()
-	names := r.ring.Owners(key, 2)
-	owners := make([]*backend, 0, len(names))
-	for _, name := range names {
-		if b := r.backends[name]; b != nil {
-			owners = append(owners, b)
-		}
-	}
-	r.mu.RUnlock()
-	if len(owners) < 2 || owners[0].available(time.Now()) {
-		return nil, false
-	}
-	r.replicaReads.Add(1)
-	ctx, span := telemetry.StartSpan(req.Context(), "replica-read")
-	if span != nil {
-		span.SetStr("primary", owners[0].name)
-		defer span.End()
-		req = req.WithContext(ctx)
-	}
-
-	type result struct {
-		resp *bufferedResponse
-		err  error
-	}
-	// The first good answer is relayed at once, but every leg runs to
-	// completion, detached from the client's cancellation and bounded
-	// by the backend client's timeout. Cancelling the slower leg when
-	// the client's request ended meant that owner might never see the
-	// request: a traced read lost the owner's hop, and the owner's
-	// breaker was charged with a failure the router caused. Each leg's
-	// span opens before its goroutine starts, so the router's trace
-	// always shows both legs.
-	detached := context.WithoutCancel(req.Context())
-	results := make(chan result, len(owners))
-	for _, b := range owners {
-		b := b
-		ctx, span := startForward(detached, b)
-		go func() {
-			resp, err := r.send(ctx, span, req, b, nil)
-			results <- result{resp, err}
-		}()
-	}
-	for range owners {
-		res := <-results
-		if res.err == nil {
-			return res.resp, true
-		}
-	}
-	// Both owners failed. Fall back to the sequential walk: it retries
-	// the whole ring and owns the relay-the-shed-response contract.
-	return nil, false
-}
-
 // forward sends one attempt to one backend and buffers the whole
 // response. Transport errors and retryable statuses feed the breaker.
 // When the request is traced, the attempt gets its own child span and
@@ -536,21 +452,9 @@ func (r *Router) replicaRead(req *http.Request, key string) (*bufferedResponse, 
 // backend's root span stitches under the router's — the cross-process
 // propagation half of /debug/fleet-traces.
 func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedResponse, error) {
-	ctx, span := startForward(req.Context(), b)
-	return r.send(ctx, span, req, b, body)
-}
-
-// startForward opens the span of one attempt to b under ctx's trace.
-func startForward(ctx context.Context, b *backend) (context.Context, *telemetry.Span) {
-	ctx, span := telemetry.StartSpan(ctx, "forward")
-	span.SetStr("backend", b.name)
-	return ctx, span
-}
-
-// send performs the attempt whose span startForward opened, under ctx,
-// and ends the span.
-func (r *Router) send(ctx context.Context, span *telemetry.Span, req *http.Request, b *backend, body []byte) (*bufferedResponse, error) {
 	start := time.Now()
+	ctx, span := telemetry.StartSpan(req.Context(), "forward")
+	span.SetStr("backend", b.name)
 	defer span.End()
 	fail := func(err error) (*bufferedResponse, error) {
 		span.SetStr("error", err.Error())
@@ -608,7 +512,11 @@ func (r *Router) send(ctx context.Context, span *telemetry.Span, req *http.Reque
 		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), r.cfg.MaxRetryAfter))
 		return br, fmt.Errorf("%w: %s from %s", errBackendStatus, resp.Status, b.name)
 	}
-	b.breaker.success()
+	// An answer slower than SlowThreshold does not vouch for the
+	// backend: it leaves the consecutive count to the slow rule.
+	if r.cfg.SlowThreshold <= 0 || elapsed <= r.cfg.SlowThreshold {
+		b.breaker.success()
+	}
 	return br, nil
 }
 

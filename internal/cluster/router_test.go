@@ -186,10 +186,9 @@ func TestRouterFailoverOnKilledBackend(t *testing.T) {
 		t.Errorf("retries = 0; the killed backend's keys never failed over")
 	}
 
-	// Restart: disarm the point; the backend serves again once its
-	// breaker cooldown lapses (forced here via a probe-driven reset).
+	// Restart: disarm the point. Until its breaker cooldown lapses the
+	// backend is a last resort and its keys are served by the survivors.
 	faultpoint.Reset()
-	f.router.ProbeAll()
 	for _, q := range queryMix() {
 		if code, body := f.get(t, q); code != http.StatusOK {
 			t.Fatalf("%s after restart: status %d, body %s", q, code, body)
@@ -242,6 +241,23 @@ func TestRouterChaosKillRestart(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	faultpoint.Reset()
 	time.Sleep(150 * time.Millisecond)
+
+	// Restarted, with its 50ms window long lapsed: a healthy probe (or a
+	// healthy half-open request before it) has closed backend 0's
+	// breaker, and it serves its keys again.
+	b0 := f.router.backends[f.backendName(0)]
+	f.router.ProbeAll()
+	if b0.breaker.open(time.Now()) {
+		t.Error("backend 0's breaker still open after its window lapsed and a healthy probe")
+	}
+	served := b0.requests.Load()
+	for deadline := time.Now().Add(5 * time.Second); b0.requests.Load() == served; {
+		if time.Now().After(deadline) {
+			t.Error("backend 0 received no request after its breaker closed")
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 	close(errs)
@@ -524,9 +540,19 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestRouterHealthQuorumVoting pins the detection rule: a backend is
-// quarantined only after QuarantineVotes consecutive failed probes,
-// and one healthy probe lifts the quarantine.
+// openBreaker opens b's breaker for an hour, or closes it: the state a
+// run of failed probes or a long Retry-After leaves behind.
+func openBreaker(b *backend, open bool) {
+	if open {
+		b.breaker.failure(time.Now(), time.Hour)
+	} else {
+		b.breaker.success()
+	}
+}
+
+// TestRouterHealthQuorumVoting pins the detection rule: failed probes
+// open a backend's breaker only after QuarantineVotes of them in a
+// row, and one healthy probe closes it again once its window lapsed.
 func TestRouterHealthQuorumVoting(t *testing.T) {
 	var healthy = true
 	var mu sync.Mutex
@@ -545,6 +571,7 @@ func TestRouterHealthQuorumVoting(t *testing.T) {
 		Backends:        []string{flaky.URL},
 		HealthInterval:  -1,
 		QuarantineVotes: 3,
+		BreakerCooldown: 2 * time.Second,
 		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -555,38 +582,45 @@ func TestRouterHealthQuorumVoting(t *testing.T) {
 	b := router.backends[name]
 
 	setHealthy := func(v bool) { mu.Lock(); healthy = v; mu.Unlock() }
+	now := time.Unix(1000, 0)
+	probe := func() { router.probe(b, router.probeOnce(b), now) }
+	opens := func() int64 { return router.journal.Counts()["breaker_open"] }
 
 	setHealthy(false)
-	router.ProbeAll()
-	router.ProbeAll()
-	if b.down.Load() {
-		t.Fatal("quarantined after 2 votes; quorum is 3")
+	probe()
+	probe()
+	if b.breaker.open(now) {
+		t.Fatal("breaker open after 2 failed probes; threshold is 3")
 	}
-	router.ProbeAll()
-	if !b.down.Load() {
-		t.Fatal("not quarantined after 3 consecutive failed votes")
+	probe()
+	if !b.breaker.open(now) {
+		t.Fatal("breaker not open after 3 consecutive failed probes")
 	}
-	if b.quarantines.Load() != 1 {
-		t.Fatalf("quarantine transitions = %d, want 1", b.quarantines.Load())
+	if got := opens(); got != 1 {
+		t.Fatalf("breaker_open events = %d, want 1", got)
 	}
-	// A flap must not double-count transitions while already down.
-	router.ProbeAll()
-	if b.quarantines.Load() != 1 {
-		t.Fatalf("extra failed probe while down recounted the transition")
+	// A flap must not double-count transitions while already open.
+	probe()
+	if got := opens(); got != 1 {
+		t.Fatalf("extra failed probe while open recounted the transition: %d events", got)
 	}
 	setHealthy(true)
-	router.ProbeAll()
-	if b.down.Load() {
-		t.Fatal("healthy probe did not lift the quarantine")
+	now = now.Add(2 * time.Second)
+	probe()
+	if b.breaker.open(now) {
+		t.Fatal("healthy probe after the window lapsed did not close the breaker")
 	}
-	if b.votes.Load() != 0 {
-		t.Fatal("healthy probe did not reset the vote count")
+	b.breaker.mu.Lock()
+	failures := b.breaker.failures
+	b.breaker.mu.Unlock()
+	if failures != 0 {
+		t.Fatal("healthy probe did not reset the consecutive-failure count")
 	}
 }
 
 // TestRouterSlowVote pins the histogram-fed rule: a backend whose mean
-// proxied latency over a probe window exceeds SlowThreshold draws
-// failed votes exactly like a dead one.
+// proxied latency over a probe window exceeds SlowThreshold fails its
+// probes exactly like a dead one.
 func TestRouterSlowVote(t *testing.T) {
 	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -596,6 +630,7 @@ func TestRouterSlowVote(t *testing.T) {
 		Backends:        []string{fast.URL},
 		HealthInterval:  -1,
 		QuarantineVotes: 2,
+		BreakerCooldown: 2 * time.Second,
 		SlowThreshold:   10 * time.Millisecond,
 		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
@@ -605,24 +640,112 @@ func TestRouterSlowVote(t *testing.T) {
 	defer router.Close()
 	name := strings.TrimPrefix(fast.URL, "http://")
 	b := router.backends[name]
+	now := time.Unix(1000, 0)
+	probe := func() { router.probe(b, router.probeOnce(b), now) }
 
 	// Feed the histogram the latencies the probe window will diff: the
 	// proxied path observed a slow spell.
 	b.hist.Observe(50 * time.Millisecond)
 	b.hist.Observe(60 * time.Millisecond)
-	router.ProbeAll() // vote 1: healthz ok, but mean 55ms > 10ms
-	if b.down.Load() {
-		t.Fatal("one slow vote quarantined; quorum is 2")
+	probe() // failure 1: healthz ok, but mean 55ms > 10ms
+	if b.breaker.open(now) {
+		t.Fatal("one slow window opened the breaker; threshold is 2")
 	}
 	b.hist.Observe(40 * time.Millisecond)
-	router.ProbeAll() // vote 2
-	if !b.down.Load() {
-		t.Fatal("two consecutive slow votes did not quarantine")
+	probe() // failure 2
+	if !b.breaker.open(now) {
+		t.Fatal("two consecutive slow windows did not open the breaker")
 	}
 	// A quiet window (no new observations) reads as healthy: dc == 0.
+	now = now.Add(2 * time.Second)
+	probe()
+	if b.breaker.open(now) {
+		t.Fatal("quiet window did not close the breaker")
+	}
+}
+
+// TestRouterSlowVoteUnderTraffic pins the slow rule against a backend
+// that keeps answering, only slowly: its slow answers must not reset
+// the consecutive count the slow windows build, or the breaker would
+// never open while traffic flows.
+func TestRouterSlowVoteUnderTraffic(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			time.Sleep(20 * time.Millisecond)
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer slow.Close()
+	router, err := New(Config{
+		Backends:        []string{slow.URL},
+		HealthInterval:  -1,
+		QuarantineVotes: 2,
+		SlowThreshold:   5 * time.Millisecond,
+		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
+	b := router.backends[strings.TrimPrefix(slow.URL, "http://")]
+
+	for window := 0; window < 2; window++ {
+		resp, err := http.Get(front.URL + "/v1/plan?n=3&f=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("window %d: status %d", window, resp.StatusCode)
+		}
+		router.ProbeAll()
+	}
+	if !b.breaker.open(time.Now()) {
+		t.Fatal("two slow windows under traffic did not open the breaker")
+	}
+}
+
+// TestProbeNeverShortensRetryAfter pins that a healthy probe closes a
+// breaker only once its window lapsed: a backend that sheds /v1/* with
+// Retry-After: 5 while its /healthz answers 200 stays unavailable after
+// a probe round.
+func TestProbeNeverShortensRetryAfter(t *testing.T) {
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Retry-After", "5")
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer shedding.Close()
+	router, err := New(Config{
+		Backends:       []string{shedding.URL},
+		HealthInterval: -1,
+		Attempts:       1,
+		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	front := httptest.NewServer(router.Handler())
+	defer front.Close()
+	b := router.backends[strings.TrimPrefix(shedding.URL, "http://")]
+
+	resp, err := http.Get(front.URL + "/v1/plan?n=3&f=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || b.requests.Load() != 1 {
+		t.Fatalf("status %d after %d attempts, want one relayed 429", resp.StatusCode, b.requests.Load())
+	}
 	router.ProbeAll()
-	if b.down.Load() {
-		t.Fatal("quiet window did not lift the slow quarantine")
+	if b.breaker.allow(time.Now()) {
+		t.Fatal("a healthy probe cut the backend's Retry-After window short")
 	}
 }
 
@@ -707,12 +830,13 @@ func TestRoutingPolicy(t *testing.T) {
 	}
 }
 
-// TestRouterReplicaReadFanout pins the replica-read path: when a pure
-// read's primary owner is unavailable (quarantined or breaker-open),
-// the router fans the request out to the key's owner pair and relays
-// the first good answer — byte-identical to a healthy single process,
-// because plan construction is deterministic on every owner.
-func TestRouterReplicaReadFanout(t *testing.T) {
+// TestRouterDegradedPrimaryServesFromSecondOwner pins the one
+// failover path: when a read's primary owner is unavailable, the ring
+// walk sends the request to the key's second owner first, and the
+// answer is byte-identical to a healthy single process (plan
+// construction is deterministic on every owner). The primary's link is
+// dead too, and it is never tried.
+func TestRouterDegradedPrimaryServesFromSecondOwner(t *testing.T) {
 	defer faultpoint.Reset()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	single := service.New(service.Config{Logger: quiet})
@@ -721,7 +845,6 @@ func TestRouterReplicaReadFanout(t *testing.T) {
 	defer ref.Close()
 
 	f := newFleet(t, 3, Config{})
-	defer f.close()
 
 	queries := []string{
 		"/v1/searchtime?n=3&f=1&x=4.5",
@@ -736,15 +859,15 @@ func TestRouterReplicaReadFanout(t *testing.T) {
 		b := f.router.backends[primary]
 		f.router.mu.RUnlock()
 
-		// Quarantine the primary and kill its link so only the second
-		// owner can answer.
-		b.down.Store(true)
+		// Open the primary's breaker and kill its link so only the
+		// second owner can answer.
+		openBreaker(b, true)
 		faultpoint.Arm(fpForward+"."+primary, faultpoint.Rule{})
 
-		before := f.router.replicaReads.Load()
+		before := b.requests.Load()
 		code, got := f.get(t, q)
 		faultpoint.Reset()
-		b.down.Store(false)
+		openBreaker(b, false)
 
 		want, err := http.Get(ref.URL + q)
 		if err != nil {
@@ -753,32 +876,13 @@ func TestRouterReplicaReadFanout(t *testing.T) {
 		wantBody, _ := io.ReadAll(want.Body)
 		want.Body.Close()
 		if code != want.StatusCode {
-			t.Fatalf("%s: status %d via fanout, %d direct", q, code, want.StatusCode)
+			t.Fatalf("%s: status %d via second owner, %d direct", q, code, want.StatusCode)
 		}
 		if !bytes.Equal(got, wantBody) {
-			t.Errorf("%s: fanout body differs from single-process\nfanout: %s\ndirect: %s", q, got, wantBody)
+			t.Errorf("%s: second owner's body differs from single-process\nrouter: %s\ndirect: %s", q, got, wantBody)
 		}
-		if f.router.replicaReads.Load() == before {
-			t.Errorf("%s: replica fan-out never engaged", q)
+		if n := b.requests.Load() - before; n != 0 {
+			t.Errorf("%s: the unavailable primary was tried %d times", q, n)
 		}
-	}
-}
-
-// TestRouterReplicaReadStaysOff proves the fan-out is reserved for
-// degraded primaries: with every backend healthy, the whole query mix
-// takes the sequential path and the fanout counter stays zero.
-func TestRouterReplicaReadStaysOff(t *testing.T) {
-	f := newFleet(t, 3, Config{})
-	defer f.close()
-	for _, q := range queryMix() {
-		f.get(t, q)
-	}
-	if n := f.router.replicaReads.Load(); n != 0 {
-		t.Fatalf("replica fan-out engaged %d times on a healthy fleet", n)
-	}
-	// Mutating methods never fan out, even with the primary down.
-	req := httptest.NewRequest("DELETE", "/v1/sweeps/nope", nil)
-	if replicaReadable(req) {
-		t.Fatal("a DELETE is never replica-readable")
 	}
 }

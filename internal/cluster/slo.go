@@ -146,8 +146,8 @@ func (m *sloMonitor) snapshot() SLOStats {
 }
 
 // sloRecorder captures the status the proxy handler finally wrote, so
-// the monitor observes the client-visible outcome (after retries,
-// failover and replica reads), not any individual backend attempt.
+// the monitor observes the client-visible outcome (after retries
+// and failover), not any individual backend attempt.
 type sloRecorder struct {
 	http.ResponseWriter
 	status int

@@ -27,7 +27,7 @@ func (r *Router) SetTopology(backendURLs []string) error {
 	}
 	next := make(map[string]*backend, len(backendURLs))
 	for _, raw := range backendURLs {
-		b, err := newBackend(raw, r.cfg.FailureThreshold, r.cfg.BreakerCooldown, r.journal)
+		b, err := newBackend(raw, r.cfg.QuarantineVotes, r.cfg.BreakerCooldown, r.journal)
 		if err != nil {
 			return err
 		}

@@ -78,8 +78,6 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 	p.Counter("linesearchd_faults_injected_total", "Faults injected by armed fault points.", snap.Resilience.FaultsInjected)
 
 	p.Tracer("linesearchd", snap.Traces)
-	p.Counter("linesearchd_tracer_dropped_traces_total", "Completed traces lost to ring eviction before being read.", snap.Traces.Evicted)
-	p.Counter("linesearchd_tracer_truncated_traces_total", "Traces that completed with at least one span refused by the per-trace cap.", snap.Traces.TruncatedTraces)
 	p.Journal("linesearchd", snap.JournalEvents)
 
 	rt := snap.Runtime

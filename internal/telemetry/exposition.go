@@ -111,6 +111,8 @@ func (e *Exposition) Tracer(prefix string, ts TracerStats) {
 	e.Counter(prefix+"_trace_spans_dropped_total", "Spans dropped by the per-trace cap.", ts.SpansDropped)
 	e.Counter(prefix+"_traces_evicted_total", "Completed traces evicted from the ring buffer.", ts.Evicted)
 	e.Gauge(prefix+"_traces_buffered", "Completed traces currently retained.", int64(ts.Buffered))
+	e.Counter(prefix+"_tracer_dropped_traces_total", "Completed traces lost to ring eviction before being read.", ts.Evicted)
+	e.Counter(prefix+"_tracer_truncated_traces_total", "Traces that completed with at least one span refused by the per-trace cap.", ts.TruncatedTraces)
 }
 
 // Journal writes prefix_journal_events_total with one sample per event

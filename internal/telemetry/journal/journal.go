@@ -53,10 +53,6 @@ const (
 	BreakerOpen
 	BreakerHalfOpen
 	BreakerClose
-	// Health-vote quarantine (internal/cluster): a backend crossed the
-	// consecutive-failed-votes threshold, or recovered.
-	QuarantineEnter
-	QuarantineExit
 	// Hinted handoff (internal/cluster): a checkpoint spooled for an
 	// unreachable peer, a spooled hint evicted by the bound, a hint
 	// delivered after the peer returned.
@@ -88,8 +84,6 @@ var kindNames = [numKinds]string{
 	BreakerOpen:       "breaker_open",
 	BreakerHalfOpen:   "breaker_half_open",
 	BreakerClose:      "breaker_close",
-	QuarantineEnter:   "quarantine_enter",
-	QuarantineExit:    "quarantine_exit",
 	HintSpool:         "hint_spool",
 	HintDrop:          "hint_drop",
 	HintReplay:        "hint_replay",

@@ -100,8 +100,8 @@ func TestRecordStampsTraceID(t *testing.T) {
 	defer span.End()
 
 	j := New(8)
-	j.Record(ctx, QuarantineEnter, "c:3", "")
-	j.Record(context.Background(), QuarantineExit, "c:3", "")
+	j.Record(ctx, BreakerOpen, "c:3", "")
+	j.Record(context.Background(), BreakerClose, "c:3", "")
 	events := j.Events()
 	if events[0].TraceID != telemetry.TraceIDFrom(ctx) || events[0].TraceID == "" {
 		t.Errorf("traced event id = %q, want %q", events[0].TraceID, telemetry.TraceIDFrom(ctx))
