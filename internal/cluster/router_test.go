@@ -830,13 +830,13 @@ func TestRoutingPolicy(t *testing.T) {
 	}
 }
 
-// TestRouterDegradedPrimaryServesFromSecondOwner pins the one
-// failover path: when a read's primary owner is unavailable, the ring
-// walk sends the request to the key's second owner first, and the
-// answer is byte-identical to a healthy single process (plan
+// TestRouterReplicaReadFanout pins how a replica serves a read: when
+// the read's primary owner is unavailable, the ring walk sends the
+// request to the key's second owner first (one request, no fan-out),
+// and the answer is byte-identical to a healthy single process (plan
 // construction is deterministic on every owner). The primary's link is
 // dead too, and it is never tried.
-func TestRouterDegradedPrimaryServesFromSecondOwner(t *testing.T) {
+func TestRouterReplicaReadFanout(t *testing.T) {
 	defer faultpoint.Reset()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	single := service.New(service.Config{Logger: quiet})
@@ -884,5 +884,39 @@ func TestRouterDegradedPrimaryServesFromSecondOwner(t *testing.T) {
 		if n := b.requests.Load() - before; n != 0 {
 			t.Errorf("%s: the unavailable primary was tried %d times", q, n)
 		}
+	}
+}
+
+// TestRouterReplicaReadStaysOff proves replicas serve reads only for
+// degraded primaries: with every backend healthy, each read of the
+// query mix costs exactly one request, to its key's primary owner, and
+// no other backend's request counter moves.
+func TestRouterReplicaReadStaysOff(t *testing.T) {
+	f := newFleet(t, 3, Config{})
+	for _, q := range queryMix() {
+		req := httptest.NewRequest("GET", q, nil)
+		key, _ := routingPolicy(req)
+		f.router.mu.RLock()
+		primary := f.router.ring.Owner(key)
+		before := make(map[string]int64, len(f.router.backends))
+		for name, b := range f.router.backends {
+			before[name] = b.requests.Load()
+		}
+		f.router.mu.RUnlock()
+
+		if code, _ := f.get(t, q); code != http.StatusOK {
+			t.Fatalf("%s: status %d on a healthy fleet", q, code)
+		}
+		f.router.mu.RLock()
+		for name, b := range f.router.backends {
+			want := int64(0)
+			if name == primary {
+				want = 1
+			}
+			if n := b.requests.Load() - before[name]; n != want {
+				t.Errorf("%s: backend %s got %d requests on a healthy fleet, want %d (primary %s)", q, name, n, want, primary)
+			}
+		}
+		f.router.mu.RUnlock()
 	}
 }
