@@ -33,6 +33,9 @@ type backend struct {
 	// The histogram at the last probe, where the slow rule's window
 	// starts. Owned by the health loop.
 	window telemetry.HistogramSnapshot
+	// slow is the slow rule's verdict on the last probe window. While it
+	// holds, a healthy proxied answer does not vouch for the backend.
+	slow atomic.Bool
 }
 
 // newBackend parses a base URL into a backend. Only the scheme and

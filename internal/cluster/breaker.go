@@ -18,13 +18,17 @@ import (
 // failing over to the next owner immediately. After the cooldown the
 // breaker is half-open: requests flow again, a success closes it, and
 // the first failure re-opens it for a full cooldown (the consecutive
-// count is already at the threshold).
+// count is still at the threshold) unless a healthy probe closed it
+// first.
 //
 // The breaker is the backend's only availability state. Proxied
 // attempts and /healthz probes feed it alike: a failed probe is one
 // more consecutive failure, and a healthy probe closes the breaker once
 // its open window has lapsed (probeSuccess), never sooner — a probe
-// must not cut short a Retry-After the backend asked for.
+// must not cut short a Retry-After the backend asked for. That close
+// resets the count, so a backend healthy on /healthz but failing
+// proxied attempts without Retry-After costs up to threshold failed
+// attempts per cooldown cycle before the breaker re-opens.
 //
 // State transitions (open, half-open probe, close) are recorded in the
 // journal under the backend's name so an operator can line up "breaker

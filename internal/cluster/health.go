@@ -45,16 +45,19 @@ func (r *Router) ProbeAll() {
 // be useless fails the probe the way a dead one does. A failed probe is
 // one more consecutive breaker failure, so QuarantineVotes failed
 // probes in a row open the breaker. A healthy probe closes it only
-// once its open window has lapsed.
+// once its open window has lapsed. The slow verdict is kept on b
+// (b.slow): until a later window clears it, healthy proxied answers do
+// not reset the count, so mixed fast and slow traffic cannot undo what
+// the windows judge.
 func (r *Router) probe(b *backend, healthy bool, now time.Time) {
 	if healthy && r.cfg.SlowThreshold > 0 {
 		snap := b.hist.Snapshot()
 		dc := snap.Count - b.window.Count
 		ds := snap.Sum - b.window.Sum
 		b.window = snap
-		if dc > 0 && time.Duration(ds/float64(dc)*float64(time.Second)) > r.cfg.SlowThreshold {
-			healthy = false
-		}
+		slow := dc > 0 && time.Duration(ds/float64(dc)*float64(time.Second)) > r.cfg.SlowThreshold
+		b.slow.Store(slow)
+		healthy = !slow
 	}
 	if healthy {
 		b.breaker.probeSuccess(now)

@@ -499,8 +499,7 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxResponseBody))
 	resp.Body.Close()
-	elapsed := time.Since(start)
-	b.hist.Observe(elapsed)
+	b.hist.Observe(time.Since(start))
 	if err != nil {
 		// Died mid-body: the client saw nothing yet, so fail over.
 		return fail(fmt.Errorf("read backend response: %w", err))
@@ -512,9 +511,9 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (*bufferedR
 		b.breaker.failure(time.Now(), parseRetryAfter(resp.Header.Get("Retry-After"), r.cfg.MaxRetryAfter))
 		return br, fmt.Errorf("%w: %s from %s", errBackendStatus, resp.Status, b.name)
 	}
-	// An answer slower than SlowThreshold does not vouch for the
-	// backend: it leaves the consecutive count to the slow rule.
-	if r.cfg.SlowThreshold <= 0 || elapsed <= r.cfg.SlowThreshold {
+	// While the slow rule judges b slow, a healthy answer leaves the
+	// consecutive count to the probes.
+	if !b.slow.Load() {
 		b.breaker.success()
 	}
 	return br, nil

@@ -206,6 +206,7 @@ func TestRouterChaosKillRestart(t *testing.T) {
 
 	mix := queryMix()
 	var wg sync.WaitGroup
+	var paused sync.RWMutex // held by the schedule to pause the load
 	errs := make(chan string, 256)
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -220,7 +221,9 @@ func TestRouterChaosKillRestart(t *testing.T) {
 				default:
 				}
 				q := mix[(i*7+w)%len(mix)]
+				paused.RLock()
 				resp, err := client.Get(f.frontend.URL + q)
+				paused.RUnlock()
 				if err != nil {
 					errs <- fmt.Sprintf("worker %d: %v", w, err)
 					continue
@@ -235,21 +238,26 @@ func TestRouterChaosKillRestart(t *testing.T) {
 	}
 
 	// The chaos schedule: kill backend 0, let the fleet absorb it, then
-	// restart and let the breaker close again.
+	// restart it. The load pauses over the restart so that no half-open
+	// request can close the breaker: the probe-driven reset must.
 	time.Sleep(50 * time.Millisecond)
 	faultpoint.Arm(fpForward+"."+f.backendName(0), faultpoint.Rule{Mode: faultpoint.ModeError})
 	time.Sleep(150 * time.Millisecond)
+	paused.Lock()
 	faultpoint.Reset()
-	time.Sleep(150 * time.Millisecond)
-
-	// Restarted, with its 50ms window long lapsed: a healthy probe (or a
-	// healthy half-open request before it) has closed backend 0's
-	// breaker, and it serves its keys again.
 	b0 := f.router.backends[f.backendName(0)]
-	f.router.ProbeAll()
-	if b0.breaker.open(time.Now()) {
-		t.Error("backend 0's breaker still open after its window lapsed and a healthy probe")
+	if breakerClosed(b0) {
+		t.Error("backend 0's breaker closed while its forward path was failing")
 	}
+	time.Sleep(100 * time.Millisecond)
+
+	// Restarted, with its 50ms window lapsed: a healthy probe closes
+	// backend 0's breaker, and it serves its keys again.
+	f.router.ProbeAll()
+	if !breakerClosed(b0) {
+		t.Error("healthy probe after backend 0's window lapsed did not close its breaker")
+	}
+	paused.Unlock()
 	served := b0.requests.Load()
 	for deadline := time.Now().Add(5 * time.Second); b0.requests.Load() == served; {
 		if time.Now().After(deadline) {
@@ -550,6 +558,15 @@ func openBreaker(b *backend, open bool) {
 	}
 }
 
+// breakerClosed reports whether b's breaker is closed: no open or
+// half-open window and a zero consecutive count. open() cannot tell a
+// closed breaker from a half-open one.
+func breakerClosed(b *backend) bool {
+	b.breaker.mu.Lock()
+	defer b.breaker.mu.Unlock()
+	return b.breaker.openUntil.IsZero() && b.breaker.failures == 0
+}
+
 // TestRouterHealthQuorumVoting pins the detection rule: failed probes
 // open a backend's breaker only after QuarantineVotes of them in a
 // row, and one healthy probe closes it again once its window lapsed.
@@ -607,14 +624,8 @@ func TestRouterHealthQuorumVoting(t *testing.T) {
 	setHealthy(true)
 	now = now.Add(2 * time.Second)
 	probe()
-	if b.breaker.open(now) {
-		t.Fatal("healthy probe after the window lapsed did not close the breaker")
-	}
-	b.breaker.mu.Lock()
-	failures := b.breaker.failures
-	b.breaker.mu.Unlock()
-	if failures != 0 {
-		t.Fatal("healthy probe did not reset the consecutive-failure count")
+	if !breakerClosed(b) {
+		t.Fatal("healthy probe after the window lapsed did not close the breaker and reset its count")
 	}
 }
 
@@ -659,51 +670,69 @@ func TestRouterSlowVote(t *testing.T) {
 	// A quiet window (no new observations) reads as healthy: dc == 0.
 	now = now.Add(2 * time.Second)
 	probe()
-	if b.breaker.open(now) {
+	if !breakerClosed(b) {
 		t.Fatal("quiet window did not close the breaker")
 	}
 }
 
 // TestRouterSlowVoteUnderTraffic pins the slow rule against a backend
-// that keeps answering, only slowly: its slow answers must not reset
-// the consecutive count the slow windows build, or the breaker would
-// never open while traffic flows.
+// that keeps answering: its healthy answers must not reset the
+// consecutive count the slow windows build, or the breaker would never
+// open while traffic flows. The mixed case answers nine requests in ten
+// fast and one at 100ms, so each answer but one is under the threshold
+// while every window's mean is over it.
 func TestRouterSlowVoteUnderTraffic(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			time.Sleep(20 * time.Millisecond)
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer slow.Close()
-	router, err := New(Config{
-		Backends:        []string{slow.URL},
-		HealthInterval:  -1,
-		QuarantineVotes: 2,
-		SlowThreshold:   5 * time.Millisecond,
-		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
+	mixed := []string{"/v1/plan?n=3&f=1&delay=100ms"}
+	for len(mixed) < 10 {
+		mixed = append(mixed, "/v1/plan?n=3&f=1")
 	}
-	defer router.Close()
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
-	b := router.backends[strings.TrimPrefix(slow.URL, "http://")]
+	for _, tc := range []struct {
+		name    string
+		queries []string // one probe window's traffic, in order
+	}{
+		{"all_slow", []string{"/v1/plan?n=3&f=1&delay=20ms"}},
+		{"mixed", mixed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if d, err := time.ParseDuration(r.URL.Query().Get("delay")); err == nil {
+					time.Sleep(d)
+				}
+				w.WriteHeader(http.StatusOK)
+			}))
+			defer backend.Close()
+			router, err := New(Config{
+				Backends:        []string{backend.URL},
+				HealthInterval:  -1,
+				QuarantineVotes: 2,
+				SlowThreshold:   5 * time.Millisecond,
+				Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer router.Close()
+			front := httptest.NewServer(router.Handler())
+			defer front.Close()
+			b := router.backends[strings.TrimPrefix(backend.URL, "http://")]
 
-	for window := 0; window < 2; window++ {
-		resp, err := http.Get(front.URL + "/v1/plan?n=3&f=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("window %d: status %d", window, resp.StatusCode)
-		}
-		router.ProbeAll()
-	}
-	if !b.breaker.open(time.Now()) {
-		t.Fatal("two slow windows under traffic did not open the breaker")
+			for window := 0; window < 2; window++ {
+				for _, q := range tc.queries {
+					resp, err := http.Get(front.URL + q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("window %d: %s -> %d", window, q, resp.StatusCode)
+					}
+				}
+				router.ProbeAll()
+			}
+			if !b.breaker.open(time.Now()) {
+				t.Fatal("two slow windows under traffic did not open the breaker")
+			}
+		})
 	}
 }
 
