@@ -49,18 +49,19 @@ lint:
 	staticcheck ./...
 
 # Fault-injection chaos suite under the race detector: 24 deterministic
-# schedules, the kill-and-resume torture test, and a randomized-seed
-# soak (seeds are logged, so failures replay deterministically). Only
-# the sweep package defines -chaos.soak, so the soak has its own line.
+# schedules, the kill-and-resume torture test, every test of the
+# fault-point package itself, and a randomized-seed soak (seeds are
+# logged, so failures replay deterministically). Only the sweep package
+# defines -chaos.soak, so the soak has its own line.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|KillAndResume|FaultInjection|FaultPoint' \
-		./internal/sweep ./internal/faultpoint
+	$(GO) test -race -count=1 -run 'Chaos|KillAndResume|FaultInjection|FaultPoint' ./internal/sweep
+	$(GO) test -race -count=1 ./internal/faultpoint
 	$(GO) test -race -count=1 -run 'TestChaosSoak' ./internal/sweep -chaos.soak=45s
 
 # Partition chaos suite under the race detector: SWIM gossip under
-# split-brain and asymmetric link faults, replication hinted handoff
-# and anti-entropy convergence after a heal, and the kill-home-mid-
-# sweep zero-loss acceptance test. Every partition is injected with
+# split-brain and asymmetric link faults, anti-entropy repair of the
+# replication pushes a partition dropped and convergence after a heal,
+# and the kill-home-mid-sweep zero-loss acceptance test. Every partition is injected with
 # seeded fault points, so a failure replays deterministically.
 chaos-partition:
 	$(GO) test -race -count=1 -v -run 'Partition' \

@@ -28,15 +28,17 @@
 //	GET  /healthz
 //	GET  /metrics                  Prometheus text exposition (the only format)
 //	GET  /debug/traces             recent/slowest sampled request traces
-//	GET  /debug/events             structured event journal (membership, breaker, hints, cell quarantine)
+//	GET  /debug/events             structured event journal (membership, breaker, anti-entropy, cell quarantine)
 //
 // With -join set, the daemon gossips SWIM-style membership with its
 // peers (POST /gossip), streams every fsynced sweep checkpoint to the
-// next replication-factor-1 ring owners (PUT /v1/replica/...), spools
-// hinted handoffs for peers that are down, and runs periodic
-// anti-entropy so replicas converge after partitions. Routers started
-// with -join subscribe to the same gossip and rebuild their rings
-// without any PUT /admin/topology.
+// next replication-factor-1 ring owners (PUT /v1/replica/...), and
+// runs anti-entropy every -anti-entropy-interval: it compares digests
+// with each owner and pushes or pulls the newer checkpoint from disk,
+// which repairs any push that failed and converges replicas after
+// partitions. The interval must be positive whenever replication
+// runs. Routers started with -join subscribe to the same gossip and
+// rebuild their rings without any PUT /admin/topology.
 //
 // With -debug-addr set, a second listener (keep it loopback-only; the
 // profiling endpoints can stall the process and expose internals)
@@ -112,9 +114,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	gossipInterval := fs.Duration("gossip-interval", time.Second, "membership probe cadence")
 	replicaDir := fs.String("replica-dir", filepath.Join("data", "replicas"), "directory for sweep checkpoints replicated from peers (empty disables replication)")
 	replicationRF := fs.Int("replication-rf", 2, "total owners per sweep checkpoint, this daemon included (f+1: survive rf-1 crashes)")
-	antiEntropyEvery := fs.Duration("anti-entropy-interval", 30*time.Second, "cadence of replica digest comparison and repair (0 disables)")
+	antiEntropyEvery := fs.Duration("anti-entropy-interval", 30*time.Second, "cadence of replica digest comparison and repair, the only repair of a failed replication push (must be > 0 when -join and -replica-dir are set)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *join != "" && *replicaDir != "" && *antiEntropyEvery <= 0 {
+		return errors.New("-anti-entropy-interval must be > 0 with -join and -replica-dir: anti-entropy is the only repair of a failed replication push")
 	}
 	var seeds []string
 	if *join != "" {
@@ -174,29 +179,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		store = sweep.NewReplicaStore(*replicaDir, logger)
 	}
 	if *join != "" && store != nil {
-		homeDir := *sweepDir
 		replicator, err = cluster.NewReplicator(cluster.ReplicatorConfig{
 			Self:    *advertise,
 			RF:      *replicationRF,
 			Logger:  logger,
 			Tracer:  tracer,
 			Journal: jrnl,
-			LocalDigest: func() map[string]sweep.CheckpointInfo {
-				out := sweep.ScanCheckpoints(homeDir)
-				for id, info := range store.Digest() {
-					if held, ok := out[id]; !ok || info.Newer(held) {
-						out[id] = info
-					}
-				}
-				return out
-			},
-			LoadLocal: func(id string) (*sweep.Checkpoint, error) {
-				if cp, err := sweep.LoadCheckpoint(homeDir, id); err == nil && cp != nil {
-					return cp, nil
-				}
-				return store.Get(id)
-			},
-			Apply: store.Put,
+			HomeDir: *sweepDir,
+			Store:   store,
 		})
 		if err != nil {
 			return fmt.Errorf("replicator: %w", err)
@@ -268,7 +258,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		httpHandler = mux
 		node.Start()
 		defer node.Close()
-		if replicator != nil && *antiEntropyEvery > 0 {
+		if replicator != nil {
 			aeStop = make(chan struct{})
 			go func() {
 				ticker := time.NewTicker(*antiEntropyEvery)

@@ -297,6 +297,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRequiresAntiEntropy: anti-entropy is the only repair of a
+// failed replication push, so a daemon that replicates (-join with a
+// -replica-dir) refuses to start with it switched off.
+func TestRunRequiresAntiEntropy(t *testing.T) {
+	for _, interval := range []string{"0", "-1s"} {
+		args := []string{"-addr", "127.0.0.1:0", "-quiet",
+			"-join", "http://127.0.0.1:1", "-advertise", "http://127.0.0.1:2",
+			"-replica-dir", t.TempDir(), "-sweep-dir", t.TempDir(),
+			"-anti-entropy-interval", interval}
+		err := run(context.Background(), args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "-anti-entropy-interval") {
+			t.Errorf("-anti-entropy-interval %s with replication: err = %v, want it rejected", interval, err)
+		}
+	}
+}
+
 func TestRunTimeoutFlagDisables(t *testing.T) {
 	// -timeout 0 must disable the per-request timeout rather than make
 	// every request time out instantly.

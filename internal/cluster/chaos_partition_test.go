@@ -11,9 +11,10 @@ package cluster
 //  1. Killing the sweep home mid-run loses zero cells: the job's
 //     checkpoints already live on the replica owner, and a resubmit
 //     through the router lands there and resumes.
-//  2. Replicas converge after a partition heals: hinted handoff and
-//     anti-entropy leave every owner holding byte-identical
-//     checkpoints (equal checksums), with no hints left pending.
+//  2. Replicas converge after a partition heals: anti-entropy, the one
+//     repair path for a push the partition dropped, leaves every owner
+//     holding byte-identical checkpoints (equal checksums) and
+//     journals a repair naming each job it moved.
 //  3. Reads proxied through a degraded fleet stay byte-identical to a
 //     healthy single process: failover changes which backend answers,
 //     never what it answers.
@@ -60,17 +61,6 @@ func nodeEvents(t *testing.T, n *replicaNode, kind string) []journal.Event {
 		t.Fatalf("decode events: %v", err)
 	}
 	return out.Events
-}
-
-// firstSeq returns the lowest Seq among events (0 when empty).
-func firstSeq(events []journal.Event) uint64 {
-	var min uint64
-	for _, e := range events {
-		if min == 0 || e.Seq < min {
-			min = e.Seq
-		}
-	}
-	return min
 }
 
 // chaosTweak makes a replica node's sweeps killable mid-flight: every
@@ -317,40 +307,20 @@ func TestPartitionSplitBrainReplicasConverge(t *testing.T) {
 			t.Errorf("job %s: replica checksum %s != home %s", c.id, got.Checksum, want.Checksum)
 		}
 	}
-	if st := a.rep.Stats(); st.HintsPending != 0 {
-		t.Errorf("a still has %d hints pending after heal", st.HintsPending)
-	}
-	if st := b.rep.Stats(); st.HintsPending != 0 {
-		t.Errorf("b still has %d hints pending after heal", st.HintsPending)
-	}
 
-	// The journal tells the same story, on both sides: hints spooled
-	// while the split held, then the heal drained them — every replay
-	// or anti-entropy repair strictly after the first spool.
-	for name, n := range map[string]*replicaNode{"a": a, "b": b} {
-		spooled := nodeEvents(t, n, "hint_spool")
-		if len(spooled) == 0 {
-			t.Errorf("%s journalled no hint_spool events during the split", name)
-			continue
-		}
-		healed := append(nodeEvents(t, n, "hint_replay"), nodeEvents(t, n, "anti_entropy_repair")...)
-		if len(healed) == 0 {
-			t.Errorf("%s journalled no replay/repair events after the heal", name)
-			continue
-		}
-		spoolStart := firstSeq(spooled)
-		for _, e := range healed {
-			if e.Seq <= spoolStart {
-				t.Errorf("%s: %s event seq %d precedes the first hint_spool seq %d",
-					name, e.Kind, e.Seq, spoolStart)
-			}
+	// The journal tells the same story: a's anti-entropy pass after the
+	// heal pushed its own job and pulled b's, naming each.
+	repaired := repairEvents(t, a)
+	for _, detail := range []string{"pushed job " + id1, "pulled job " + id2} {
+		if !repaired[detail] {
+			t.Errorf("a journalled no anti_entropy_repair %q after the heal: %v", detail, repaired)
 		}
 	}
 }
 
 // TestPartitionAsymmetricReplication arms the link in one direction
-// only: b replicates to a normally while a's pushes to b spool as
-// hints, and the heal drains them. One-way reachability — the nastier
+// only: b replicates to a normally while a's pushes to b fail, and the
+// heal's anti-entropy repairs them. One-way reachability — the nastier
 // real-network failure — must not wedge either side.
 func TestPartitionAsymmetricReplication(t *testing.T) {
 	defer faultpoint.Reset()
@@ -374,53 +344,27 @@ func TestPartitionAsymmetricReplication(t *testing.T) {
 	if cp, _ := b.store.Get(id1); cp != nil {
 		t.Fatal("a->b push crossed the armed link")
 	}
-	if st := a.rep.Stats(); st.Hinted == 0 {
-		t.Fatalf("a spooled no hints for the unreachable peer: %+v", st)
-	}
 
 	faultpoint.Reset()
 	a.rep.AntiEntropy(context.Background())
 	got, err := b.store.Get(id1)
 	if err != nil || got == nil {
-		t.Fatalf("hint replay did not land after heal: %v, %v", got, err)
+		t.Fatalf("anti-entropy repair did not land after heal: %v, %v", got, err)
 	}
 	want, _ := sweep.LoadCheckpoint(a.mgr.Dir(), id1)
 	if want == nil || got.Checksum != want.Checksum {
-		t.Fatal("replayed replica does not match the home checksum")
-	}
-	if st := a.rep.Stats(); st.HintsPending != 0 {
-		t.Errorf("hints still pending after replay: %+v", st)
+		t.Fatal("repaired replica does not match the home checksum")
 	}
 
-	// Journal sequence on the partitioned side: spool during the
-	// one-way cut, replay for the same job after the heal. The healthy
-	// side never spooled.
-	spooled := nodeEvents(t, a, "hint_spool")
-	replayed := nodeEvents(t, a, "hint_replay")
-	if len(spooled) == 0 || len(replayed) == 0 {
-		t.Fatalf("a's journal missing the handoff story: %d spooled, %d replayed", len(spooled), len(replayed))
+	// Journal on the partitioned side: the heal repaired the job the
+	// one-way cut dropped, and only that one — the healthy direction's
+	// job was already converged.
+	repaired := repairEvents(t, a)
+	if !repaired["pushed job "+id1] {
+		t.Errorf("a journalled no anti_entropy_repair for job %s after the heal: %v", id1, repaired)
 	}
-	wantDetail := "job " + id1
-	var sawSpool, sawReplay bool
-	for _, e := range spooled {
-		if e.Detail == wantDetail {
-			sawSpool = true
-		}
-	}
-	for _, e := range replayed {
-		if e.Detail == wantDetail {
-			sawReplay = true
-			if e.Seq <= firstSeq(spooled) {
-				t.Errorf("replay seq %d not after first spool seq %d", e.Seq, firstSeq(spooled))
-			}
-		}
-	}
-	if !sawSpool || !sawReplay {
-		t.Errorf("journal does not name job %s in both spool and replay: spool=%v replay=%v",
-			id1, sawSpool, sawReplay)
-	}
-	if got := nodeEvents(t, b, "hint_spool"); len(got) != 0 {
-		t.Errorf("healthy side journalled %d hint_spool events", len(got))
+	if len(repaired) != 1 {
+		t.Errorf("a journalled repairs %v, want only job %s", repaired, id1)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"linesearch/internal/faultpoint"
@@ -26,16 +25,17 @@ import (
 // backend that never received the replicated checkpoints.
 const SweepsRingKey = "sweeps"
 
-// fpReplicate is the fault point on every replication send; the
-// per-peer form fpReplicate+"."+<host:port> lets chaos schedules drop
-// replication to exactly one backend, exercising hinted handoff.
+// fpReplicate is the fault point on every replication request —
+// push, digest and fetch alike; the per-peer form
+// fpReplicate+"."+<host:port> partitions replication to exactly one
+// backend.
 const fpReplicate = "cluster.replicate"
 
 // maxReplicaResponse bounds one fetched checkpoint or digest.
 const maxReplicaResponse = 16 << 20
 
-// ReplicatorConfig tunes a Replicator. Self and the three local
-// accessors are required; everything else defaults.
+// ReplicatorConfig tunes a Replicator. Self, HomeDir and Store are
+// required; everything else defaults.
 type ReplicatorConfig struct {
 	// Self is this backend's own advertised URL; it is excluded from
 	// push targets (the home copy is already on disk here).
@@ -44,11 +44,6 @@ type ReplicatorConfig struct {
 	// the paper's f+1 rule with f = RF-1 (default 2: survive any one
 	// crash).
 	RF int
-	// HintLimit bounds the per-peer handoff spool, in checkpoints.
-	// Hints are latest-wins per job, so the spool holds at most one
-	// entry per job; overflow drops the oldest job's hint and counts it
-	// (default 64).
-	HintLimit int
 	// VNodes is the placement ring's virtual-node count (default
 	// DefaultVNodes; must match the router's so owner walks agree).
 	VNodes int
@@ -63,50 +58,23 @@ type ReplicatorConfig struct {
 	// call that arrives with an untraced context, so replication legs
 	// show up in fleet-trace stitching even when driven by timers.
 	Tracer *telemetry.Tracer
-	// Journal, when set, receives hint and anti-entropy events
-	// (nil-safe: a nil journal records nothing).
+	// Journal, when set, receives anti-entropy repair events (nil-safe:
+	// a nil journal records nothing).
 	Journal *journal.Journal
 
-	// LocalDigest summarizes every checkpoint this backend holds (home
-	// and replica), keyed by job ID — this side of an anti-entropy
-	// comparison.
-	LocalDigest func() map[string]sweep.CheckpointInfo
-	// LoadLocal fetches a locally held checkpoint for pushing to a
-	// lagging peer (missing is nil, nil).
-	LoadLocal func(id string) (*sweep.Checkpoint, error)
-	// Apply stores a checkpoint fetched from a peer that was ahead of
-	// us (the replica-store put).
-	Apply func(sweep.Checkpoint) error
-}
-
-// ReplicatorStats are the replication counters, read in process
-// through Replicator.Stats.
-type ReplicatorStats struct {
-	// Replicated counts checkpoints accepted by a peer; Failed counts
-	// sends that errored after reaching for a live peer.
-	Replicated int64 `json:"replicated"`
-	Failed     int64 `json:"failed"`
-	// Hinted counts checkpoints spooled for a down peer; HintsDropped
-	// counts spool overflow evictions; HintsReplayed counts hints
-	// delivered after the peer came back.
-	Hinted        int64 `json:"hinted"`
-	HintsDropped  int64 `json:"hints_dropped"`
-	HintsReplayed int64 `json:"hints_replayed"`
-	// HintsPending is the current spool size across peers.
-	HintsPending int `json:"hints_pending"`
-	// AntiEntropyRuns counts completed anti-entropy sweeps;
-	// RepairsPushed/RepairsPulled count checkpoints moved to heal
-	// divergence.
-	AntiEntropyRuns int64 `json:"anti_entropy_runs"`
-	RepairsPushed   int64 `json:"repairs_pushed"`
-	RepairsPulled   int64 `json:"repairs_pulled"`
+	// HomeDir is the sweep manager's checkpoint directory and Store
+	// the replica store: together this side of an anti-entropy
+	// comparison, read through Store.Local and Store.LoadLocal, and
+	// Store receives the checkpoints pulled from peers that are ahead.
+	HomeDir string
+	Store   *sweep.ReplicaStore
 }
 
 // Replicator streams fsynced sweep checkpoints to the next RF-1 ring
-// owners, spools hints for peers that are down, and runs anti-entropy
-// digest comparisons to repair divergence after partitions. It is the
-// serving-layer analogue of the paper's fault budget: with RF = f+1,
-// any f lost backends lose no completed sweep cell.
+// owners and runs anti-entropy digest comparisons that repair any
+// owner a push missed. It is the serving-layer analogue of the paper's
+// fault budget: with RF = f+1, any f lost backends lose no completed
+// sweep cell.
 //
 // Membership drives the target set: SetMembers replaces the alive
 // peer list (from gossip or static topology). A checkpoint's owners
@@ -118,26 +86,9 @@ type Replicator struct {
 	client *http.Client
 	logger *slog.Logger
 
-	mu    sync.Mutex
-	ring  *Ring
-	urls  map[string]string    // ring member (host:port) -> base URL
-	hints map[string]hintSpool // ring member -> pending handoffs
-
-	replicated    atomic.Int64
-	failed        atomic.Int64
-	hinted        atomic.Int64
-	hintsDropped  atomic.Int64
-	hintsReplayed atomic.Int64
-	aeRuns        atomic.Int64
-	repairsPushed atomic.Int64
-	repairsPulled atomic.Int64
-}
-
-// hintSpool is one peer's pending handoffs: latest checkpoint per job,
-// with FIFO order of first arrival for bounded eviction.
-type hintSpool struct {
-	byJob map[string]sweep.Checkpoint
-	order []string
+	mu   sync.Mutex
+	ring *Ring
+	urls map[string]string // ring member (host:port) -> base URL
 }
 
 // NewReplicator builds a Replicator. The member set starts empty;
@@ -146,17 +97,14 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: replicator needs its own URL")
 	}
-	if cfg.LocalDigest == nil || cfg.LoadLocal == nil || cfg.Apply == nil {
-		return nil, fmt.Errorf("cluster: replicator needs LocalDigest, LoadLocal and Apply")
+	if cfg.HomeDir == "" || cfg.Store == nil {
+		return nil, fmt.Errorf("cluster: replicator needs HomeDir and Store")
 	}
 	if _, err := memberName(cfg.Self); err != nil {
 		return nil, err
 	}
 	if cfg.RF < 2 {
 		cfg.RF = 2
-	}
-	if cfg.HintLimit < 1 {
-		cfg.HintLimit = 64
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
@@ -173,7 +121,6 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 		logger: cfg.Logger,
 		ring:   NewRing(cfg.VNodes),
 		urls:   make(map[string]string),
-		hints:  make(map[string]hintSpool),
 	}, nil
 }
 
@@ -188,10 +135,9 @@ func memberName(raw string) (string, error) {
 }
 
 // SetMembers replaces the alive peer set (this backend included or
-// not — Self is always implicitly a member). Hints for peers that are
-// alive again are NOT replayed here: replay happens on the next
-// Replicate to that peer or the next AntiEntropy pass, keeping this
-// safe to call from a gossip callback.
+// not — Self is always implicitly a member). It only swaps the ring,
+// so it is safe to call from a gossip callback; a peer that comes back
+// is repaired by the next AntiEntropy pass.
 func (r *Replicator) SetMembers(alive []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -213,20 +159,30 @@ func (r *Replicator) SetMembers(alive []string) {
 	r.urls = urls
 }
 
-// Owners returns the ring members owning the sweep key right now, up
-// to RF, in preference order — the home first.
-func (r *Replicator) Owners() []string {
+// peers returns the non-self owners of the sweeps key, ordered by
+// member name.
+func (r *Replicator) peers() []namedTarget {
+	selfName, _ := memberName(r.cfg.Self)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ring.Owners(SweepsRingKey, r.cfg.RF)
+	var out []namedTarget
+	for _, name := range r.ring.Owners(SweepsRingKey, r.cfg.RF) {
+		if name != selfName {
+			out = append(out, namedTarget{name, r.urls[name]})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
+// namedTarget is one peer: its ring member name and base URL.
+type namedTarget struct{ name, url string }
+
 // Replicate pushes one fsynced checkpoint to the RF-1 non-self owners
-// of the sweeps key, synchronously. A peer that is not in the current
-// member set, or that fails the push, gets the checkpoint spooled as a
-// hint; any pending hints for a peer that just accepted a push are
-// replayed while it is known reachable. Returns the number of live
-// replicas that accepted the checkpoint.
+// of the sweeps key, synchronously, and returns how many accepted it.
+// A failed push is logged and nothing else: the checkpoint is durable
+// here, so the next AntiEntropy pass finds the peer behind and pushes
+// the newest copy from disk.
 func (r *Replicator) Replicate(ctx context.Context, cp sweep.Checkpoint) int {
 	if telemetry.SpanFrom(ctx) == nil && r.cfg.Tracer != nil {
 		var root *telemetry.Span
@@ -236,233 +192,107 @@ func (r *Replicator) Replicate(ctx context.Context, cp sweep.Checkpoint) int {
 			defer root.End()
 		}
 	}
-	selfName, _ := memberName(r.cfg.Self)
-	r.mu.Lock()
-	owners := r.ring.Owners(SweepsRingKey, r.cfg.RF)
-	targets := make(map[string]string, len(owners)) // member -> url
-	for _, name := range owners {
-		if name == selfName {
-			continue
-		}
-		targets[name] = r.urls[name]
-	}
-	r.mu.Unlock()
-
 	accepted := 0
-	for _, target := range sortedByKey(targets) {
+	for _, target := range r.peers() {
 		if err := r.push(ctx, target.url, cp); err != nil {
-			r.failed.Add(1)
-			r.logger.Warn("checkpoint replication failed; hinting",
+			r.logger.Warn("checkpoint replication failed; anti-entropy will repair it",
 				"job", cp.ID, "peer", target.name, "err", err)
-			r.hint(ctx, target.name, cp)
 			continue
 		}
-		r.replicated.Add(1)
 		accepted++
-		r.replayHints(ctx, target.name, target.url)
 	}
 	return accepted
 }
 
-// sortedByKey iterates a member->url map deterministically.
-type namedTarget struct{ name, url string }
-
-func sortedByKey(m map[string]string) []namedTarget {
-	out := make([]namedTarget, 0, len(m))
-	for name, u := range m {
-		out = append(out, namedTarget{name, u})
+// call sends one replication request to a peer and hands a 200 body,
+// bounded by maxReplicaResponse, to decode (nil discards it). Pushes,
+// digests and fetches all go through here, so every one honours the
+// cluster.replicate fault points, the Timeout and the caller's
+// traceparent, and drains at most maxReplicaResponse of any body.
+func (r *Replicator) call(ctx context.Context, method, baseURL, path string, body []byte, decode func(io.Reader) error) error {
+	name, _ := memberName(baseURL)
+	if err := faultpoint.Hit(fpReplicate); err != nil {
+		return err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	if err := faultpoint.Hit(fpReplicate + "." + name); err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	defer cancel()
+	var reqBody io.Reader
+	if body != nil {
+		reqBody = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, baseURL+path, reqBody)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if tp := telemetry.Traceparent(ctx); tp != "" {
+		req.Header.Set("Traceparent", tp)
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	bounded := io.LimitReader(resp.Body, maxReplicaResponse)
+	defer io.Copy(io.Discard, bounded)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: peer %s answered %d to %s %s", name, resp.StatusCode, method, path)
+	}
+	if decode == nil {
+		return nil
+	}
+	return decode(bounded)
+}
+
+// checkpointURLPath is a job's path on the replica endpoint.
+func checkpointURLPath(id string) string {
+	return "/v1/replica/checkpoints/" + url.PathEscape(id)
 }
 
 // push PUTs one checkpoint to a peer's replica endpoint.
 func (r *Replicator) push(ctx context.Context, baseURL string, cp sweep.Checkpoint) error {
-	name, _ := memberName(baseURL)
-	if err := faultpoint.Hit(fpReplicate); err != nil {
-		return err
-	}
-	if err := faultpoint.Hit(fpReplicate + "." + name); err != nil {
-		return err
-	}
-	if baseURL == "" {
-		return fmt.Errorf("cluster: peer %s is not in the member set", name)
-	}
 	blob, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("cluster: marshal checkpoint: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(cp.ID), bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s answered %d", name, resp.StatusCode)
-	}
-	return nil
+	return r.call(ctx, http.MethodPut, baseURL, checkpointURLPath(cp.ID), blob, nil)
 }
 
-// hint spools a checkpoint for a currently unreachable peer,
-// latest-wins per job, bounded by HintLimit per peer.
-func (r *Replicator) hint(ctx context.Context, peer string, cp sweep.Checkpoint) {
-	r.mu.Lock()
-	spool, ok := r.hints[peer]
-	if !ok {
-		spool = hintSpool{byJob: make(map[string]sweep.Checkpoint)}
-	}
-	var dropped string
-	if _, held := spool.byJob[cp.ID]; !held {
-		if len(spool.order) >= r.cfg.HintLimit {
-			dropped = spool.order[0]
-			spool.order = spool.order[1:]
-			delete(spool.byJob, dropped)
-			r.hintsDropped.Add(1)
-		}
-		spool.order = append(spool.order, cp.ID)
-	}
-	spool.byJob[cp.ID] = cp
-	r.hints[peer] = spool
-	r.hinted.Add(1)
-	r.mu.Unlock()
-	if dropped != "" {
-		r.logger.Warn("hint spool full; dropped oldest", "peer", peer, "job", dropped)
-		r.cfg.Journal.Record(ctx, journal.HintDrop, peer, "spool full, dropped job "+dropped)
-	}
-	r.cfg.Journal.Record(ctx, journal.HintSpool, peer, "job "+cp.ID)
-}
-
-// takeHints drains a peer's spool for replay.
-func (r *Replicator) takeHints(peer string) []sweep.Checkpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	spool, ok := r.hints[peer]
-	if !ok {
-		return nil
-	}
-	delete(r.hints, peer)
-	out := make([]sweep.Checkpoint, 0, len(spool.order))
-	for _, id := range spool.order {
-		out = append(out, spool.byJob[id])
-	}
-	return out
-}
-
-// replayHints delivers a peer's spooled checkpoints now that it is
-// reachable; anything that fails again goes straight back on the
-// spool.
-func (r *Replicator) replayHints(ctx context.Context, peer, baseURL string) {
-	for _, cp := range r.takeHints(peer) {
-		if err := r.push(ctx, baseURL, cp); err != nil {
-			r.logger.Warn("hint replay failed; re-spooling", "peer", peer, "job", cp.ID, "err", err)
-			r.hint(ctx, peer, cp)
-			continue
-		}
-		r.hintsReplayed.Add(1)
-		r.cfg.Journal.Record(ctx, journal.HintReplay, peer, "job "+cp.ID)
-	}
-}
-
-// peerDigest fetches a peer's combined home+replica digest.
+// peerDigest fetches a peer's digest, merged by the same rule that
+// picks our own local copy.
 func (r *Replicator) peerDigest(ctx context.Context, baseURL string) (map[string]sweep.CheckpointInfo, error) {
-	name, _ := memberName(baseURL)
-	if err := faultpoint.Hit(fpReplicate); err != nil {
-		return nil, err
-	}
-	if err := faultpoint.Hit(fpReplicate + "." + name); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/replica/digest", nil)
+	var d sweep.Digest
+	err := r.call(ctx, http.MethodGet, baseURL, "/v1/replica/digest", nil, func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&d)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-		return nil, fmt.Errorf("cluster: peer %s digest answered %d", name, resp.StatusCode)
-	}
-	var body struct {
-		Home    map[string]sweep.CheckpointInfo `json:"home"`
-		Replica map[string]sweep.CheckpointInfo `json:"replica"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplicaResponse)).Decode(&body); err != nil {
-		return nil, err
-	}
-	merged := make(map[string]sweep.CheckpointInfo, len(body.Home)+len(body.Replica))
-	for id, info := range body.Replica {
-		merged[id] = info
-	}
-	for id, info := range body.Home {
-		// The home copy wins a tie: it is the authoritative writer.
-		if held, ok := merged[id]; !ok || info.Newer(held) || info.Checksum == held.Checksum {
-			merged[id] = info
-		}
-	}
-	return merged, nil
+	return d.Merged(), nil
 }
 
-// fetch GETs one checkpoint from a peer.
-func (r *Replicator) fetch(ctx context.Context, baseURL, id string) (*sweep.Checkpoint, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		baseURL+"/v1/replica/checkpoints/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	if tp := telemetry.Traceparent(ctx); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxReplicaResponse))
-		return nil, fmt.Errorf("cluster: peer checkpoint answered %d", resp.StatusCode)
-	}
+// fetch GETs one checkpoint from a peer; the store verifies it on Put.
+func (r *Replicator) fetch(ctx context.Context, baseURL, id string) (sweep.Checkpoint, error) {
 	var cp sweep.Checkpoint
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplicaResponse)).Decode(&cp); err != nil {
-		return nil, err
-	}
-	if err := cp.Verify(); err != nil {
-		return nil, err
-	}
-	return &cp, nil
+	err := r.call(ctx, http.MethodGet, baseURL, checkpointURLPath(id), nil, func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&cp)
+	})
+	return cp, err
 }
 
 // AntiEntropy runs one repair pass against every non-self owner of
-// the sweeps key: replay pending hints, compare digests, push local
-// checkpoints the peer lacks or holds stale, and pull peer checkpoints
-// that are ahead of ours. Returns the number of repairs (pushed plus
-// pulled). Divergence after a healed partition converges in one pass
-// from each side.
+// the sweeps key: compare digests, push local checkpoints the peer
+// lacks or holds stale, and pull peer checkpoints that are ahead of
+// ours. It is the one repair path for a missed push, and it reads the
+// fsynced files, so nothing is lost with the process. Returns the
+// number of repairs (pushed plus pulled), each journalled as an
+// anti_entropy_repair event naming the job. Divergence after a healed
+// partition converges in one pass from each side.
 func (r *Replicator) AntiEntropy(ctx context.Context) int {
 	if telemetry.SpanFrom(ctx) == nil && r.cfg.Tracer != nil {
 		var root *telemetry.Span
@@ -471,35 +301,21 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 			defer root.End()
 		}
 	}
-	selfName, _ := memberName(r.cfg.Self)
-	r.mu.Lock()
-	owners := r.ring.Owners(SweepsRingKey, r.cfg.RF)
-	targets := make(map[string]string, len(owners))
-	for _, name := range owners {
-		if name != selfName {
-			targets[name] = r.urls[name]
-		}
-	}
-	r.mu.Unlock()
-
+	store, home := r.cfg.Store, r.cfg.HomeDir
 	repairs := 0
-	for _, target := range sortedByKey(targets) {
-		if target.url == "" {
-			continue
-		}
-		r.replayHints(ctx, target.name, target.url)
+	for _, target := range r.peers() {
 		theirs, err := r.peerDigest(ctx, target.url)
 		if err != nil {
 			r.logger.Warn("anti-entropy digest failed", "peer", target.name, "err", err)
 			continue
 		}
-		ours := r.cfg.LocalDigest()
+		ours := store.Local(home).Merged()
 		for id, mine := range ours {
 			held, ok := theirs[id]
 			if ok && (held.Checksum == mine.Checksum || !mine.Newer(held)) {
 				continue
 			}
-			cp, err := r.cfg.LoadLocal(id)
+			cp, err := store.LoadLocal(home, id)
 			if err != nil || cp == nil {
 				continue
 			}
@@ -507,7 +323,6 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 				r.logger.Warn("anti-entropy push failed", "peer", target.name, "job", id, "err", err)
 				continue
 			}
-			r.repairsPushed.Add(1)
 			repairs++
 			r.cfg.Journal.Record(ctx, journal.AntiEntropyRepair, target.name, "pushed job "+id)
 		}
@@ -517,39 +332,16 @@ func (r *Replicator) AntiEntropy(ctx context.Context) int {
 				continue
 			}
 			cp, err := r.fetch(ctx, target.url, id)
-			if err != nil || cp == nil {
+			if err == nil {
+				err = store.Put(cp)
+			}
+			if err != nil {
+				r.logger.Warn("anti-entropy pull failed", "peer", target.name, "job", id, "err", err)
 				continue
 			}
-			if err := r.cfg.Apply(*cp); err != nil {
-				r.logger.Warn("anti-entropy apply failed", "peer", target.name, "job", id, "err", err)
-				continue
-			}
-			r.repairsPulled.Add(1)
 			repairs++
 			r.cfg.Journal.Record(ctx, journal.AntiEntropyRepair, target.name, "pulled job "+id)
 		}
 	}
-	r.aeRuns.Add(1)
 	return repairs
-}
-
-// Stats snapshots the replication counters.
-func (r *Replicator) Stats() ReplicatorStats {
-	r.mu.Lock()
-	pending := 0
-	for _, spool := range r.hints {
-		pending += len(spool.order)
-	}
-	r.mu.Unlock()
-	return ReplicatorStats{
-		Replicated:      r.replicated.Load(),
-		Failed:          r.failed.Load(),
-		Hinted:          r.hinted.Load(),
-		HintsDropped:    r.hintsDropped.Load(),
-		HintsReplayed:   r.hintsReplayed.Load(),
-		HintsPending:    pending,
-		AntiEntropyRuns: r.aeRuns.Load(),
-		RepairsPushed:   r.repairsPushed.Load(),
-		RepairsPulled:   r.repairsPulled.Load(),
-	}
 }

@@ -98,22 +98,8 @@ func newReplicaNode(t *testing.T, tweaks ...func(*sweep.Config)) *replicaNode {
 		Self:    n.srv.URL,
 		Logger:  logger,
 		Journal: n.jrnl,
-		LocalDigest: func() map[string]sweep.CheckpointInfo {
-			out := sweep.ScanCheckpoints(home)
-			for id, info := range n.store.Digest() {
-				if held, ok := out[id]; !ok || info.Newer(held) {
-					out[id] = info
-				}
-			}
-			return out
-		},
-		LoadLocal: func(id string) (*sweep.Checkpoint, error) {
-			if cp, err := sweep.LoadCheckpoint(home, id); err == nil && cp != nil {
-				return cp, nil
-			}
-			return n.store.Get(id)
-		},
-		Apply: n.store.Put,
+		HomeDir: home,
+		Store:   n.store,
 	})
 	if err != nil {
 		t.Fatalf("NewReplicator: %v", err)
@@ -159,15 +145,29 @@ func TestReplicatorStreamsToOwner(t *testing.T) {
 	if got.Checksum != home.Checksum {
 		t.Fatalf("replica checksum %s != home %s", got.Checksum, home.Checksum)
 	}
-	if st := a.rep.Stats(); st.Replicated == 0 {
-		t.Fatalf("replicator recorded no pushes: %+v", st)
+	if st := b.store.Stats(); st.Accepted == 0 {
+		t.Fatalf("peer accepted no pushes: %+v", st)
 	}
 }
 
-// TestReplicatorHintedHandoff downs the peer during the sweep, then
-// heals it: the checkpoints must arrive via hint replay in the next
-// anti-entropy pass, and converge to the home checksum.
-func TestReplicatorHintedHandoff(t *testing.T) {
+// repairEvents returns the jobs named by n's anti_entropy_repair
+// events, as their journal details ("pushed job <id>", "pulled job
+// <id>").
+func repairEvents(t *testing.T, n *replicaNode) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	for _, e := range nodeEvents(t, n, "anti_entropy_repair") {
+		out[e.Detail] = true
+	}
+	return out
+}
+
+// TestReplicatorMissedPushRepaired downs the peer during the sweep,
+// then heals it: a failed push is only logged, and the next
+// anti-entropy pass pushes the home checkpoint from disk, converges to
+// the home checksum and journals the repair; a second pass finds
+// nothing left to do.
+func TestReplicatorMissedPushRepaired(t *testing.T) {
 	defer faultpoint.Reset()
 	a, b := newReplicaNode(t), newReplicaNode(t)
 	defer a.close()
@@ -183,14 +183,10 @@ func TestReplicatorHintedHandoff(t *testing.T) {
 	if got, _ := b.store.Get(id); got != nil {
 		t.Fatal("checkpoint reached the downed peer")
 	}
-	st := a.rep.Stats()
-	if st.Hinted == 0 || st.HintsPending == 0 {
-		t.Fatalf("no hints spooled while peer was down: %+v", st)
-	}
 
 	faultpoint.Reset()
-	if rep := a.rep.AntiEntropy(context.Background()); rep == 0 && a.rep.Stats().HintsReplayed == 0 {
-		t.Fatal("anti-entropy neither replayed hints nor repaired")
+	if rep := a.rep.AntiEntropy(context.Background()); rep != 1 {
+		t.Fatalf("anti-entropy made %d repairs, want 1 push", rep)
 	}
 	got, err := b.store.Get(id)
 	if err != nil || got == nil {
@@ -200,44 +196,106 @@ func TestReplicatorHintedHandoff(t *testing.T) {
 	if home == nil || got.Checksum != home.Checksum {
 		t.Fatalf("replica did not converge to the home checksum")
 	}
-	if st := a.rep.Stats(); st.HintsPending != 0 {
-		t.Fatalf("hints still pending after replay: %+v", st)
+	if !repairEvents(t, a)["pushed job "+id] {
+		t.Fatalf("no anti_entropy_repair event names job %s", id)
+	}
+	if rep := a.rep.AntiEntropy(context.Background()); rep != 0 {
+		t.Fatalf("second anti-entropy pass made %d repairs, want 0", rep)
 	}
 }
 
-// TestReplicatorHintSpoolBounded pins the handoff bound: latest-wins
-// per job, oldest job evicted at the limit.
-func TestReplicatorHintSpoolBounded(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	rep, err := NewReplicator(ReplicatorConfig{
-		Self:        "http://127.0.0.1:1",
-		HintLimit:   2,
-		Logger:      logger,
-		LocalDigest: func() map[string]sweep.CheckpointInfo { return nil },
-		LoadLocal:   func(string) (*sweep.Checkpoint, error) { return nil, nil },
-		Apply:       func(sweep.Checkpoint) error { return nil },
-	})
-	if err != nil {
-		t.Fatalf("NewReplicator: %v", err)
-	}
-	cp := func(id string, cells int) sweep.Checkpoint {
-		c := sweep.Checkpoint{ID: id}
-		for i := 0; i < cells; i++ {
-			c.Cells = append(c.Cells, sweep.Cell{Index: i})
+// captureFirst checkpoints every cell and records the job's first
+// checkpoint (one cell) in *first, so a test can hold an older copy of
+// a job next to its finished one.
+func captureFirst(first *sweep.Checkpoint) func(*sweep.Config) {
+	return func(c *sweep.Config) {
+		c.CheckpointEvery = 1
+		next := c.OnCheckpoint
+		c.OnCheckpoint = func(cp sweep.Checkpoint) {
+			if first.ID == "" {
+				*first = cp
+			}
+			next(cp)
 		}
-		return c
 	}
-	rep.hint(context.Background(), "peer", cp("job-1", 1))
-	rep.hint(context.Background(), "peer", cp("job-1", 2)) // latest-wins: still one entry
-	rep.hint(context.Background(), "peer", cp("job-2", 1))
-	rep.hint(context.Background(), "peer", cp("job-3", 1)) // evicts job-1
-	st := rep.Stats()
-	if st.HintsPending != 2 || st.HintsDropped != 1 {
-		t.Fatalf("spool = %+v, want 2 pending / 1 dropped", st)
+}
+
+// multiCellSpec has three cells, so its first checkpoint is strictly
+// older than its last.
+var multiCellSpec = sweep.Spec{N: []int{2, 3, 4}, F: []int{1}, XMax: 8}
+
+// TestReplicatorPullsNewerHomeOverOlderReplica: b holds a job's
+// finished home checkpoint and an older replica of it. b's digest
+// reports the home copy, so a's pull must land the home checksum — the
+// replica endpoint serves the copy the digest names.
+func TestReplicatorPullsNewerHomeOverOlderReplica(t *testing.T) {
+	var first sweep.Checkpoint
+	a, b := newReplicaNode(t), newReplicaNode(t, captureFirst(&first))
+	defer a.close()
+	defer b.close()
+	id := submitSpec(t, b, multiCellSpec) // b knows no peers: nothing pushed
+	home, err := sweep.LoadCheckpoint(b.mgr.Dir(), id)
+	if err != nil || home == nil || len(first.Cells) >= len(home.Cells) {
+		t.Fatalf("setup: home %v (%v), first checkpoint %d cells", home, err, len(first.Cells))
 	}
-	hints := rep.takeHints("peer")
-	if len(hints) != 2 || hints[0].ID != "job-2" || hints[1].ID != "job-3" {
-		t.Fatalf("drained hints = %v, want job-2 then job-3", hints)
+	if err := b.store.Put(first); err != nil {
+		t.Fatalf("replica put: %v", err)
+	}
+
+	a.rep.SetMembers([]string{a.srv.URL, b.srv.URL})
+	if rep := a.rep.AntiEntropy(context.Background()); rep != 1 {
+		t.Fatalf("anti-entropy made %d repairs, want 1 pull", rep)
+	}
+	got, err := a.store.Get(id)
+	if err != nil || got == nil {
+		t.Fatalf("pull repair did not land: %v, %v", got, err)
+	}
+	if got.Checksum != home.Checksum {
+		t.Fatalf("pulled %d cells (checksum %s), want the home's %d (%s)",
+			len(got.Cells), got.Checksum, len(home.Cells), home.Checksum)
+	}
+	if rep := a.rep.AntiEntropy(context.Background()); rep != 0 {
+		t.Fatalf("second anti-entropy pass made %d repairs, want 0", rep)
+	}
+}
+
+// TestReplicatorPushesNewerReplicaOverOlderHome: a holds an older home
+// checkpoint of a job and a newer replica of it. Its digest reports the
+// replica, so the push to a peer that lacks the job must carry the
+// replica's checksum.
+func TestReplicatorPushesNewerReplicaOverOlderHome(t *testing.T) {
+	var first sweep.Checkpoint
+	src := newReplicaNode(t, captureFirst(&first))
+	defer src.close()
+	id := submitSpec(t, src, multiCellSpec)
+	last, err := sweep.LoadCheckpoint(src.mgr.Dir(), id)
+	if err != nil || last == nil || len(first.Cells) >= len(last.Cells) {
+		t.Fatalf("setup: last %v (%v), first checkpoint %d cells", last, err, len(first.Cells))
+	}
+
+	a, b := newReplicaNode(t), newReplicaNode(t)
+	defer a.close()
+	defer b.close()
+	// A replica store writes the home checkpoint format, so one opened
+	// on a's home directory plants the older home copy there.
+	if err := sweep.NewReplicaStore(a.mgr.Dir(), nil).Put(first); err != nil {
+		t.Fatalf("plant home copy: %v", err)
+	}
+	if err := a.store.Put(*last); err != nil {
+		t.Fatalf("replica put: %v", err)
+	}
+
+	a.rep.SetMembers([]string{a.srv.URL, b.srv.URL})
+	if rep := a.rep.AntiEntropy(context.Background()); rep != 1 {
+		t.Fatalf("anti-entropy made %d repairs, want 1 push", rep)
+	}
+	got, err := b.store.Get(id)
+	if err != nil || got == nil {
+		t.Fatalf("push repair did not land: %v, %v", got, err)
+	}
+	if got.Checksum != last.Checksum {
+		t.Fatalf("pushed %d cells (checksum %s), want the replica's %d (%s)",
+			len(got.Cells), got.Checksum, len(last.Cells), last.Checksum)
 	}
 }
 
@@ -254,17 +312,13 @@ func TestReplicatorAntiEntropyPulls(t *testing.T) {
 	faultpoint.Arm(fpReplicate, faultpoint.Rule{})
 	id := runSweep(t, b)
 	faultpoint.Reset()
-	// Drop the spooled hints: this test exercises the digest path.
-	for _, member := range b.rep.Owners() {
-		b.rep.takeHints(member)
-	}
 
 	a.rep.SetMembers(members)
 	if got, _ := a.store.Get(id); got != nil {
 		t.Fatal("test setup leaked the checkpoint to a")
 	}
 	if repairs := a.rep.AntiEntropy(context.Background()); repairs == 0 {
-		t.Fatalf("anti-entropy found nothing to pull: %+v", a.rep.Stats())
+		t.Fatal("anti-entropy found nothing to pull")
 	}
 	got, err := a.store.Get(id)
 	if err != nil || got == nil {
@@ -277,16 +331,18 @@ func TestReplicatorAntiEntropyPulls(t *testing.T) {
 }
 
 func TestReplicatorValidation(t *testing.T) {
-	digest := func() map[string]sweep.CheckpointInfo { return nil }
-	load := func(string) (*sweep.Checkpoint, error) { return nil, nil }
-	apply := func(sweep.Checkpoint) error { return nil }
-	if _, err := NewReplicator(ReplicatorConfig{LocalDigest: digest, LoadLocal: load, Apply: apply}); err == nil {
+	store := sweep.NewReplicaStore(t.TempDir(), nil)
+	home := t.TempDir()
+	if _, err := NewReplicator(ReplicatorConfig{HomeDir: home, Store: store}); err == nil {
 		t.Fatal("NewReplicator accepted an empty Self")
 	}
-	if _, err := NewReplicator(ReplicatorConfig{Self: "http://ok:1"}); err == nil {
-		t.Fatal("NewReplicator accepted missing accessors")
+	if _, err := NewReplicator(ReplicatorConfig{Self: "http://ok:1", HomeDir: home}); err == nil {
+		t.Fatal("NewReplicator accepted a missing Store")
 	}
-	if _, err := NewReplicator(ReplicatorConfig{Self: "not a url", LocalDigest: digest, LoadLocal: load, Apply: apply}); err == nil {
+	if _, err := NewReplicator(ReplicatorConfig{Self: "http://ok:1", Store: store}); err == nil {
+		t.Fatal("NewReplicator accepted a missing HomeDir")
+	}
+	if _, err := NewReplicator(ReplicatorConfig{Self: "not a url", HomeDir: home, Store: store}); err == nil {
 		t.Fatal("NewReplicator accepted a bad Self URL")
 	}
 }

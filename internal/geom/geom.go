@@ -83,19 +83,18 @@ func (s Segment) PositionAt(t float64) (float64, error) {
 // VisitTimes returns every time in [From.T, To.T] at which the segment
 // passes through position x. A uniform-motion segment crosses x at most
 // once unless it is stationary at x, in which case the arrival time
-// From.T is reported.
+// From.T is reported. Coverage is decided on the endpoints exactly
+// (Covers), not on the rounded fraction: an x one ulp beyond a turning
+// point can round to fraction 1, but the robot never stands there.
 func (s Segment) VisitTimes(x float64) []float64 {
+	if !s.Covers(x) {
+		return nil
+	}
 	disp := s.Displacement()
 	if disp == 0 {
-		if s.From.X == x {
-			return []float64{s.From.T}
-		}
-		return nil
+		return []float64{s.From.T}
 	}
 	frac := (x - s.From.X) / disp
-	if frac < 0 || frac > 1 {
-		return nil
-	}
 	return []float64{s.From.T + frac*s.Duration()}
 }
 

@@ -126,6 +126,25 @@ func TestSegmentVisitTimesStationary(t *testing.T) {
 	}
 }
 
+// TestSegmentVisitTimesUlpBeyondTurn pins the FuzzByzantineVote
+// finding: a target one ulp beyond a segment's far end rounds to
+// fraction 1, but the robot turns there and never stands on it, as the
+// compiled kernel's exact envelope test already says.
+func TestSegmentVisitTimesUlpBeyondTurn(t *testing.T) {
+	s := Segment{From: Point{X: -3.2857142857142856, T: 9.857142857142858},
+		To: Point{X: 6.571428571428571, T: 19.714285714285715}}
+	beyond := math.Nextafter(s.To.X, math.Inf(1))
+	if frac := (beyond - s.From.X) / s.Displacement(); frac != 1 {
+		t.Fatalf("setup: fraction %v, want it to round to 1", frac)
+	}
+	if got := s.VisitTimes(beyond); got != nil {
+		t.Errorf("VisitTimes(%v) = %v, want nil", beyond, got)
+	}
+	if got := s.VisitTimes(s.To.X); len(got) != 1 || got[0] != s.To.T {
+		t.Errorf("VisitTimes(%v) = %v, want [%v]", s.To.X, got, s.To.T)
+	}
+}
+
 func TestSegmentCovers(t *testing.T) {
 	s := Segment{From: Point{X: 3, T: 0}, To: Point{X: -1, T: 4}}
 	for _, x := range []float64{-1, 0, 1.5, 3} {

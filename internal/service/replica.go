@@ -25,16 +25,6 @@ const maxReplicaBody = 16 << 20
 // separators, dots — is rejected before it reaches a filesystem call.
 var jobIDPattern = regexp.MustCompile(`^[A-Za-z0-9_-]{1,128}$`)
 
-// ReplicaDigestResponse answers GET /v1/replica/digest: what this
-// backend holds, split by role. Home entries are checkpoints this
-// backend writes as a job's owner; replica entries were pushed to it
-// by other owners. Anti-entropy compares checksums across owners and
-// repairs with the Newer copy.
-type ReplicaDigestResponse struct {
-	Home    map[string]sweep.CheckpointInfo `json:"home"`
-	Replica map[string]sweep.CheckpointInfo `json:"replica"`
-}
-
 // replicasEnabled guards the replica surface: a daemon started without
 // a replica store answers 503 so a misconfigured fleet fails loudly
 // instead of silently dropping replicated checkpoints.
@@ -75,10 +65,10 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.cfg.Replicas.Stats())
 }
 
-// handleReplicaGet serves a checkpoint for anti-entropy repair. The
-// replica store is consulted first, then the home checkpoint directory
-// — as a job's owner this backend holds the authoritative copy there,
-// and a repairing peer should not care which role produced it.
+// handleReplicaGet serves a checkpoint for anti-entropy repair: the
+// newer of this backend's home and replica copies, the home on a tie —
+// the copy its digest reports (sweep.ReplicaStore.LoadLocal), so a
+// repairing peer lands exactly what it compared against.
 func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	if !s.replicasEnabled(w) {
 		return
@@ -88,17 +78,10 @@ func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
-	cp, err := s.cfg.Replicas.Get(id)
+	cp, err := s.cfg.Replicas.LoadLocal(s.sweeps.Dir(), id)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "replica read failed: "+err.Error())
+		s.writeError(w, http.StatusInternalServerError, "checkpoint read failed: "+err.Error())
 		return
-	}
-	if cp == nil {
-		cp, err = sweep.LoadCheckpoint(s.sweeps.Dir(), id)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "checkpoint read failed: "+err.Error())
-			return
-		}
 	}
 	if cp == nil {
 		s.writeError(w, http.StatusNotFound, "no checkpoint for job "+id)
@@ -108,13 +91,11 @@ func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplicaDigest summarizes every checkpoint this backend holds,
-// home and replica, for anti-entropy comparison.
+// split into home and replica (sweep.Digest), for anti-entropy
+// comparison.
 func (s *Service) handleReplicaDigest(w http.ResponseWriter, r *http.Request) {
 	if !s.replicasEnabled(w) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ReplicaDigestResponse{
-		Home:    sweep.ScanCheckpoints(s.sweeps.Dir()),
-		Replica: s.cfg.Replicas.Digest(),
-	})
+	s.writeJSON(w, http.StatusOK, s.cfg.Replicas.Local(s.sweeps.Dir()))
 }

@@ -114,6 +114,14 @@ func TestReplicaEndpointsValidation(t *testing.T) {
 		t.Fatalf("tampered PUT = %d, want 400", code)
 	}
 
+	// A body over maxReplicaBody is cut off at the bound and rejected:
+	// one PUT reads at most maxReplicaBody bytes.
+	huge := `{"id":"` + strings.Repeat("a", maxReplicaBody) + `"}`
+	code, body := doReq(t, h, "PUT", "/v1/replica/checkpoints/"+cp.ID, huge)
+	if msg, _ := body["error"].(string); code != 400 || !strings.Contains(msg, "too large") {
+		t.Fatalf("oversized PUT = %d %q, want 400 naming the size bound", code, msg)
+	}
+
 	// Missing checkpoint is a 404.
 	if code, _ := doReq(t, h, "GET", "/v1/replica/checkpoints/sw-missing00000", ""); code != 404 {
 		t.Fatalf("missing GET = %d, want 404", code)

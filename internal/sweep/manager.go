@@ -61,14 +61,15 @@ type Config struct {
 	// Cadence flushes run off the collector, so workers keep
 	// evaluating while the hook runs; but the next flush waits for it,
 	// so implementations must still bound their own latency (the
-	// replicator spools hints instead of waiting out dead peers).
+	// replicator's push has a timeout and leaves a failed push to
+	// anti-entropy).
 	OnCheckpoint func(Checkpoint)
-	// ReplicaDir, when set, is consulted on Submit when the home
-	// checkpoint is missing: a job whose previous home crashed resumes
-	// from the copy replicated to this backend instead of starting
-	// cold. Replica-read failures degrade to a cold start with a
-	// warning — recovery is best effort, correctness never depends on
-	// it.
+	// ReplicaDir, when set, is consulted on Submit: a job whose
+	// previous home crashed resumes from the copy replicated to this
+	// backend when it is newer than the home copy (the rule of
+	// ReplicaStore.LoadLocal). Replica-read failures degrade to the
+	// home copy or a cold start with a warning — recovery is best
+	// effort, correctness never depends on it.
 	ReplicaDir string
 	// Eval overrides the cell evaluator (tests only).
 	Eval EvalFunc
@@ -227,18 +228,19 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cp == nil && m.cfg.ReplicaDir != "" {
-		// No home checkpoint: this backend may be the failover home for
-		// a job whose previous owner died. A replicated checkpoint (the
-		// f+1 rule's payoff) resumes the job with every cell the old
-		// home had flushed; anything wrong with the replica degrades to
-		// a cold start.
+	if m.cfg.ReplicaDir != "" {
+		// This backend may be the failover home for a job whose
+		// previous owner died. A replicated checkpoint (the f+1 rule's
+		// payoff) resumes the job with every cell the old home had
+		// flushed, when homeWins picks it over the home copy; anything
+		// wrong with the replica degrades to the home copy or a cold
+		// start.
 		rcp, rerr := readCheckpoint(m.cfg.ReplicaDir, id, spec.Hash())
 		switch {
 		case rerr != nil:
-			m.cfg.Logger.Warn("sweep replica recovery failed; starting cold",
+			m.cfg.Logger.Warn("sweep replica recovery failed; ignoring the replica",
 				"job", id, "err", rerr)
-		case rcp != nil:
+		case rcp != nil && (cp == nil || !homeWins(cp.info(), rcp.info())):
 			cp = rcp
 			m.replicasRecovered.Add(1)
 			m.cfg.Logger.Info("sweep recovered from replicated checkpoint",

@@ -111,6 +111,58 @@ func (s *ReplicaStore) Digest() map[string]CheckpointInfo {
 	return out
 }
 
+// Digest is what one backend holds, split by role: Home lists the
+// checkpoints it writes as a job's owner, Replica the copies other
+// owners pushed to it. It is the GET /v1/replica/digest body.
+type Digest struct {
+	Home    map[string]CheckpointInfo `json:"home"`
+	Replica map[string]CheckpointInfo `json:"replica"`
+}
+
+// homeWins is the one rule that picks a job's checkpoint when a
+// backend holds both a home copy and a replica: the newer copy wins
+// (CheckpointInfo.Newer), and the home copy, the job's authoritative
+// writer, wins a tie.
+func homeWins(home, replica CheckpointInfo) bool { return !replica.Newer(home) }
+
+// Merged keeps one entry per job, chosen by homeWins — the side of an
+// anti-entropy comparison that LoadLocal serves.
+func (d Digest) Merged() map[string]CheckpointInfo {
+	out := make(map[string]CheckpointInfo, len(d.Home)+len(d.Replica))
+	for id, info := range d.Replica {
+		out[id] = info
+	}
+	for id, info := range d.Home {
+		if held, ok := out[id]; !ok || homeWins(info, held) {
+			out[id] = info
+		}
+	}
+	return out
+}
+
+// Local summarizes every checkpoint this backend holds: the home
+// checkpoints in homeDir and the store's replicas.
+func (s *ReplicaStore) Local(homeDir string) Digest {
+	return Digest{Home: ScanCheckpoints(homeDir), Replica: s.Digest()}
+}
+
+// LoadLocal loads the copy of job id that Local(homeDir).Merged()
+// reports, chosen by homeWins. An unreadable copy is passed over, as
+// ScanCheckpoints passes it over; a job held in neither place is
+// (nil, nil).
+func (s *ReplicaStore) LoadLocal(homeDir, id string) (*Checkpoint, error) {
+	home, herr := LoadCheckpoint(homeDir, id)
+	replica, rerr := s.Get(id)
+	switch {
+	case home == nil && replica == nil:
+		return nil, errors.Join(herr, rerr)
+	case replica == nil || home != nil && homeWins(home.info(), replica.info()):
+		return home, nil
+	default:
+		return replica, nil
+	}
+}
+
 // Stats snapshots the store's counters.
 func (s *ReplicaStore) Stats() ReplicaStats {
 	s.mu.Lock()

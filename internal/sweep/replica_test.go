@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // stampedCheckpoint builds a verified checkpoint the way the home
@@ -205,5 +206,113 @@ func TestManagerReplicaRecovery(t *testing.T) {
 	// zero lost cells.
 	if second.ResumedCells != first.DoneCells {
 		t.Fatalf("recovery resumed %d cells, original completed %d", second.ResumedCells, first.DoneCells)
+	}
+}
+
+// TestLocalCopyRule pins the one rule that picks a job's local copy
+// when a backend holds it both as home and as replica: the newer copy
+// wins, the home wins a tie, and the digest and the load agree.
+func TestLocalCopyRule(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		homeCells, replicaCells int
+		wantReplica             bool
+	}{
+		{"newer home", 3, 1, false},
+		{"newer replica", 1, 3, true},
+		{"home only", 2, 0, false},
+		{"replica only", 0, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			home := t.TempDir()
+			s := NewReplicaStore(t.TempDir(), quiet())
+			var homeCP, replicaCP Checkpoint
+			if tc.homeCells > 0 {
+				homeCP = stampedCheckpoint(t, "job-a", tc.homeCells)
+				if err := NewReplicaStore(home, quiet()).Put(homeCP); err != nil {
+					t.Fatalf("plant home copy: %v", err)
+				}
+			}
+			if tc.replicaCells > 0 {
+				replicaCP = stampedCheckpoint(t, "job-a", tc.replicaCells)
+				if err := s.Put(replicaCP); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			want := homeCP.Checksum
+			if tc.wantReplica {
+				want = replicaCP.Checksum
+			}
+			if got := s.Local(home).Merged()["job-a"].Checksum; got != want {
+				t.Errorf("merged digest checksum %s, want %s", got, want)
+			}
+			got, err := s.LoadLocal(home, "job-a")
+			if err != nil || got == nil || got.Checksum != want {
+				t.Errorf("LoadLocal = %v, %v; want checksum %s", got, err, want)
+			}
+		})
+	}
+
+	// A tie (same cells, same write time) goes to the home copy.
+	at := time.Unix(1700000000, 0)
+	tie := Digest{
+		Home:    map[string]CheckpointInfo{"job-a": {Checksum: "home", Cells: 2, UpdatedAt: at}},
+		Replica: map[string]CheckpointInfo{"job-a": {Checksum: "replica", Cells: 2, UpdatedAt: at}},
+	}
+	if got := tie.Merged()["job-a"].Checksum; got != "home" {
+		t.Errorf("tie went to %s, want home", got)
+	}
+	if missing, err := NewReplicaStore(t.TempDir(), quiet()).LoadLocal(t.TempDir(), "job-a"); missing != nil || err != nil {
+		t.Errorf("LoadLocal(missing) = %v, %v; want nil, nil", missing, err)
+	}
+}
+
+// TestManagerResumesNewerReplica: the home directory holds an older
+// checkpoint of the job and the replica directory a newer one, so
+// Submit resumes from the replica by the same rule LoadLocal applies.
+func TestManagerResumesNewerReplica(t *testing.T) {
+	home, replica := t.TempDir(), t.TempDir()
+	spec := Spec{N: []int{2, 3, 4}, F: []int{1}, XMax: 8}
+	var first *Checkpoint
+	m1 := NewManager(Config{
+		Dir:             t.TempDir(),
+		Workers:         1,
+		Logger:          quiet(),
+		CheckpointEvery: 1,
+		OnCheckpoint: func(cp Checkpoint) {
+			if first == nil {
+				first = &cp
+			}
+		},
+	})
+	j, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	done := waitJob(t, j)
+	m1.Close()
+	last, err := LoadCheckpoint(m1.Dir(), j.ID())
+	if err != nil || last == nil || first == nil || len(first.Cells) >= len(last.Cells) {
+		t.Fatalf("setup: first %v, last %v (%v)", first, last, err)
+	}
+	if err := NewReplicaStore(home, quiet()).Put(*first); err != nil {
+		t.Fatalf("plant home copy: %v", err)
+	}
+	if err := NewReplicaStore(replica, quiet()).Put(*last); err != nil {
+		t.Fatalf("replica put: %v", err)
+	}
+
+	m2 := NewManager(Config{Dir: home, Workers: 1, Logger: quiet(), ReplicaDir: replica})
+	defer m2.Close()
+	j2, err := m2.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	second := waitJob(t, j2)
+	if second.ResumedCells != done.DoneCells {
+		t.Fatalf("resumed %d cells, the newer replica held %d", second.ResumedCells, done.DoneCells)
+	}
+	if st := m2.Stats(); st.ReplicasRecovered != 1 {
+		t.Fatalf("ReplicasRecovered = %d, want 1", st.ReplicasRecovered)
 	}
 }

@@ -1,8 +1,8 @@
 // Package journal is the fleet's structured event journal: a bounded,
 // lock-striped ring of typed state-transition events — membership
-// changes, breaker trips, quarantines, hinted handoffs, anti-entropy
-// repairs, topology swaps, snapshot imports — queryable on
-// GET /debug/events and counted per kind on /metrics.
+// changes, breaker trips, anti-entropy repairs, topology swaps,
+// snapshot imports, cell quarantines — queryable on GET /debug/events
+// and counted per kind on /metrics.
 //
 // Traces answer "where did this request spend its time"; the journal
 // answers "what did the fleet DO" — the control-plane transitions that
@@ -53,12 +53,6 @@ const (
 	BreakerOpen
 	BreakerHalfOpen
 	BreakerClose
-	// Hinted handoff (internal/cluster): a checkpoint spooled for an
-	// unreachable peer, a spooled hint evicted by the bound, a hint
-	// delivered after the peer returned.
-	HintSpool
-	HintDrop
-	HintReplay
 	// AntiEntropyRepair is one checkpoint pushed or pulled by a digest
 	// comparison to heal replica divergence.
 	AntiEntropyRepair
@@ -84,9 +78,6 @@ var kindNames = [numKinds]string{
 	BreakerOpen:       "breaker_open",
 	BreakerHalfOpen:   "breaker_half_open",
 	BreakerClose:      "breaker_close",
-	HintSpool:         "hint_spool",
-	HintDrop:          "hint_drop",
-	HintReplay:        "hint_replay",
 	AntiEntropyRepair: "anti_entropy_repair",
 	TopologyChange:    "topology_change",
 	SnapshotImport:    "snapshot_import",

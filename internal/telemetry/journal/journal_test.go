@@ -84,8 +84,8 @@ func TestRecordOrderAndCounts(t *testing.T) {
 	if counts["member_suspect"] != 1 || counts["breaker_open"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if counts["hint_replay"] != 0 {
-		t.Errorf("unrecorded kind count = %d, want 0", counts["hint_replay"])
+	if counts["anti_entropy_repair"] != 0 {
+		t.Errorf("unrecorded kind count = %d, want 0", counts["anti_entropy_repair"])
 	}
 }
 
@@ -153,12 +153,12 @@ func TestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				j.Record(context.Background(), HintSpool, "peer", "")
+				j.Record(context.Background(), AntiEntropyRepair, "peer", "")
 			}
 		}()
 	}
 	wg.Wait()
-	if got := j.Counts()["hint_spool"]; got != 1600 {
+	if got := j.Counts()["anti_entropy_repair"]; got != 1600 {
 		t.Errorf("count = %d, want 1600", got)
 	}
 	recorded, _, _ := j.Stats()
